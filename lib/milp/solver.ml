@@ -154,6 +154,8 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
              pure feasibility at cost ≤ bound — success is a proven optimum
              and sidesteps the incumbent-improvement search entirely. *)
           let probe_spent = ref 0. in
+          (* a failed probe's work is still work done by this solve *)
+          let probe_work = ref None in
           let probe =
             if Float.is_finite lower_bound then begin
               let probe_model = Model.copy m' in
@@ -175,7 +177,8 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
                     Model.objective_value m' (fun x -> solution.(x))
                   in
                   Some (Optimal { objective; solution }, s)
-              | (Pb_solver.Infeasible | Pb_solver.Limit_reached _), _ ->
+              | (Pb_solver.Infeasible | Pb_solver.Limit_reached _), s ->
+                  probe_work := Some s;
                   None
             end
             else None
@@ -207,6 +210,17 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
                   | Pb_solver.Infeasible -> Infeasible
                   | Pb_solver.Limit_reached { incumbent } ->
                       Limit_reached { incumbent }
+                in
+                let s =
+                  match !probe_work with
+                  | None -> s
+                  | Some p ->
+                      { s with
+                        Pb_solver.decisions = s.decisions + p.decisions;
+                        propagations = s.propagations + p.propagations;
+                        conflicts = s.conflicts + p.conflicts;
+                        restarts = s.restarts + p.restarts;
+                        learned = s.learned + p.learned }
                 in
                 (outcome, s)
           in
