@@ -375,6 +375,186 @@ let prop_optimal_solution_is_feasible =
       | (Solver.Infeasible | Solver.Unbounded | Solver.Limit_reached _), _ ->
           true)
 
+(* Wider PB-vs-brute models: up to 12 variables, rows dominated by
+   clauses and cardinality constraints (the shape of learned clauses and
+   LEARNCONS rows), and reliability-style rows whose coefficients are
+   k·p^k, as in ILP-AR's Eq. 9.  A k·p^k row's right-hand side sits
+   halfway between two distinct subset sums of its coefficients, so no
+   assignment lands within a tolerance of the boundary and PB and brute
+   force cannot disagree on rounding. *)
+type wide_row =
+  | Clause of (int * bool) list  (* (var, positive) *)
+  | At_least of int list * int
+  | At_most of int list * int
+  | Reliability of (int * float) list * float  (* Σ k·p^k·x ≤ rhs *)
+  | Linear of (int * int) list * Model.cmp * int
+
+(* distinct subset sums, merging any two closer than 1e-5 *)
+let subset_sums coefs =
+  List.fold_left
+    (fun sums c -> sums @ List.map (fun s -> s +. c) sums)
+    [ 0. ] coefs
+  |> List.sort Float.compare
+  |> List.fold_left
+       (fun acc s ->
+         match acc with
+         | prev :: _ when s -. prev < 1e-5 -> acc
+         | _ -> s :: acc)
+       []
+  |> List.rev
+
+let gen_wide_row nvars =
+  QCheck.Gen.(
+    let vars size = list_size (int_range 1 size) (int_range 0 (nvars - 1)) in
+    frequency
+      [ ( 4,
+          let* lits = list_size (int_range 1 5) (pair (int_range 0 (nvars - 1)) bool) in
+          return (Clause lits) );
+        ( 2,
+          let* xs = vars 6 in
+          let* k = int_range 1 (List.length xs) in
+          return (At_least (xs, k)) );
+        ( 2,
+          let* xs = vars 6 in
+          let* k = int_range 0 (List.length xs - 1) in
+          return (At_most (xs, k)) );
+        ( 2,
+          let* terms =
+            list_size (int_range 1 5)
+              (triple (int_range 0 (nvars - 1)) (int_range 1 4)
+                 (oneofl [ 0.5; 0.3; 0.2; 0.1; 0.05 ]))
+          in
+          let terms =
+            List.map
+              (fun (x, k, p) -> (x, float_of_int k *. (p ** float_of_int k)))
+              terms
+          in
+          let sums = Array.of_list (subset_sums (List.map snd terms)) in
+          let* i = int_range 0 (max 0 (Array.length sums - 2)) in
+          let rhs =
+            if Array.length sums < 2 then sums.(0) +. 0.5
+            else (sums.(i) +. sums.(i + 1)) /. 2.
+          in
+          return (Reliability (terms, rhs)) );
+        ( 1,
+          let* terms =
+            list_size (int_range 1 4) (pair (int_range 0 (nvars - 1)) (int_range (-4) 4))
+          in
+          let* cmp = oneofl [ Model.Le; Model.Ge ] in
+          let* rhs = int_range (-3) 5 in
+          return (Linear (terms, cmp, rhs)) ) ])
+
+let add_wide_row m = function
+  | Clause lits ->
+      let negatives = List.length (List.filter (fun (_, pos) -> not pos) lits) in
+      Model.add_constraint m
+        (Lin_expr.of_terms
+           (List.map (fun (x, pos) -> (x, if pos then 1. else -1.)) lits))
+        Model.Ge
+        (float_of_int (1 - negatives))
+  | At_least (xs, k) -> Bool_encode.at_least_k m xs k
+  | At_most (xs, k) -> Bool_encode.at_most_k m xs k
+  | Reliability (terms, rhs) ->
+      Model.add_constraint m (Lin_expr.of_terms terms) Model.Le rhs
+  | Linear (terms, cmp, rhs) ->
+      Model.add_constraint m
+        (Lin_expr.of_terms (List.map (fun (x, c) -> (x, float_of_int c)) terms))
+        cmp (float_of_int rhs)
+
+(* (nvars, rows, appended rows, objective); costs include halves so the
+   objective is not always integral *)
+let arb_wide_model =
+  let gen =
+    QCheck.Gen.(
+      let* nvars = int_range 1 12 in
+      let* rows = list_size (int_range 0 10) (gen_wide_row nvars) in
+      let* extra = list_size (int_range 1 5) (gen_wide_row nvars) in
+      let* obj =
+        list_size (int_range 0 nvars)
+          (pair (int_range 0 (nvars - 1))
+             (map (fun c -> float_of_int c /. 2.) (int_range (-6) 18)))
+      in
+      return (nvars, rows, extra, obj))
+  in
+  let show_row = function
+    | Clause lits ->
+        "clause "
+        ^ String.concat " "
+            (List.map (fun (x, pos) -> (if pos then "" else "~") ^ string_of_int x) lits)
+    | At_least (xs, k) ->
+        Printf.sprintf "atleast %d of %s" k
+          (String.concat " " (List.map string_of_int xs))
+    | At_most (xs, k) ->
+        Printf.sprintf "atmost %d of %s" k
+          (String.concat " " (List.map string_of_int xs))
+    | Reliability (terms, rhs) ->
+        Printf.sprintf "%s <= %h"
+          (String.concat " + "
+             (List.map (fun (x, c) -> Printf.sprintf "%h*x%d" c x) terms))
+          rhs
+    | Linear (terms, cmp, rhs) ->
+        Printf.sprintf "%s %s %d"
+          (String.concat " + "
+             (List.map (fun (x, c) -> Printf.sprintf "%d*x%d" c x) terms))
+          (match cmp with Model.Le -> "<=" | Model.Ge -> ">=" | Model.Eq -> "=")
+          rhs
+  in
+  let print (nvars, rows, extra, obj) =
+    Printf.sprintf "nvars=%d\nrows:\n%s\nappended:\n%s\nobj=%s" nvars
+      (String.concat "\n" (List.map show_row rows))
+      (String.concat "\n" (List.map show_row extra))
+      (String.concat ","
+         (List.map (fun (x, c) -> Printf.sprintf "%d:%g" x c) obj))
+  in
+  QCheck.make gen ~print
+
+let build_wide nvars rows obj =
+  let m = Model.create () in
+  let _ = Model.bool_vars m nvars in
+  List.iter (add_wide_row m) rows;
+  Model.set_objective m (Lin_expr.of_terms obj);
+  m
+
+let pb_agrees o1 o2 =
+  match (o1, o2) with
+  | Milp.Pb_solver.Optimal { objective = a; _ },
+    Milp.Pb_solver.Optimal { objective = b; _ } ->
+      Float.abs (a -. b) < 1e-6
+  | Milp.Pb_solver.Infeasible, Milp.Pb_solver.Infeasible -> true
+  | _ -> false
+
+let of_brute = function
+  | Milp.Brute.Optimal { objective; solution } ->
+      Milp.Pb_solver.Optimal { objective; solution }
+  | Milp.Brute.Infeasible -> Milp.Pb_solver.Infeasible
+
+let prop_pb_wide_matches_brute =
+  QCheck.Test.make ~name:"pb = brute force (12 vars, k·p^k, clauses)"
+    ~count:300 arb_wide_model (fun (nvars, rows, extra, obj) ->
+      let m = build_wide nvars (rows @ extra) obj in
+      pb_agrees (of_brute (Milp.Brute.solve m)) (fst (Milp.Pb_solver.solve m)))
+
+(* A session solve, rows appended to its model, and a re-solve (with the
+   first optimum as a proven floor, as ILP-MR passes it): the re-solve
+   must equal a scratch solve of the grown model, and brute force. *)
+let prop_pb_session_resolve_matches_scratch =
+  QCheck.Test.make ~name:"pb session re-solve = scratch solve of grown model"
+    ~count:300 arb_wide_model (fun (nvars, rows, extra, obj) ->
+      let m = build_wide nvars rows obj in
+      let sess = Milp.Pb_solver.Session.create m in
+      let first, _ = Milp.Pb_solver.Session.solve sess in
+      List.iter (add_wide_row m) extra;
+      Milp.Pb_solver.Session.add_rows sess;
+      let lower_bound =
+        match first with
+        | Milp.Pb_solver.Optimal { objective; _ } -> objective
+        | _ -> neg_infinity
+      in
+      let again, _ = Milp.Pb_solver.Session.solve ~lower_bound sess in
+      let scratch, _ = Milp.Pb_solver.solve (build_wide nvars (rows @ extra) obj) in
+      pb_agrees again scratch
+      && pb_agrees (of_brute (Milp.Brute.solve m)) again)
+
 let test_presolve_preserves_optimum () =
   QCheck.Test.check_exn
     (QCheck.Test.make ~count:100 ~name:"presolve keeps the optimum"
@@ -565,6 +745,138 @@ let test_lp_format_mentions_everything () =
            try ignore (String.index l 'c'); String.length l > 0
            with Not_found -> false))
 
+(* ------------------------------------------------------------------ *)
+(* Golden search trajectories                                          *)
+
+(* The PB core's decision, propagation, conflict, learning and restart
+   counts on three fixed models, recorded before the hot path's data
+   layout was rebuilt.  Node order alone moves PB effort by one to two
+   orders of magnitude, so a layout change must reproduce the search
+   exactly: any reordering of propagation, decisions or learning shows up
+   here as a changed count. *)
+
+module Pb_solver = Milp.Pb_solver
+
+(* [pigeons] pigeons into [holes] holes: every pigeon in some hole, no
+   hole holding two, minimizing the number of placements.  Infeasible for
+   pigeons > holes, and provable only by search: 2.6k conflicts and 14
+   restarts, enough to pass through learned-clause database reduction. *)
+let pigeonhole ~pigeons ~holes =
+  let m = Model.create () in
+  let x = Array.init pigeons (fun _ -> Model.bool_vars m holes) in
+  for p = 0 to pigeons - 1 do
+    Model.add_constraint m
+      (Lin_expr.of_terms (Array.to_list (Array.map (fun v -> (v, 1.)) x.(p))))
+      Model.Ge 1.
+  done;
+  for h = 0 to holes - 1 do
+    Model.add_constraint m
+      (Lin_expr.of_terms (List.init pigeons (fun p -> (x.(p).(h), 1.))))
+      Model.Le 1.
+  done;
+  Model.set_objective m
+    (Lin_expr.of_terms
+       (List.concat_map
+          (fun row -> Array.to_list (Array.map (fun v -> (v, 1.)) row))
+          (Array.to_list x)));
+  m
+
+type trajectory = {
+  verdict : string;
+  decisions : int;
+  propagations : int;
+  conflicts : int;
+  learned : int;
+  restarts : int;
+}
+
+let trajectory m =
+  let outcome, (s : Pb_solver.stats) = Pb_solver.solve m in
+  let verdict =
+    match outcome with
+    | Pb_solver.Optimal { objective; _ } -> Printf.sprintf "optimal %g" objective
+    | Pb_solver.Infeasible -> "infeasible"
+    | Pb_solver.Limit_reached _ -> "limit"
+  in
+  { verdict;
+    decisions = s.decisions;
+    propagations = s.propagations;
+    conflicts = s.conflicts;
+    learned = s.learned;
+    restarts = s.restarts }
+
+let check_trajectory name expected m =
+  let got = trajectory m in
+  let show t =
+    Printf.sprintf
+      "%s: decisions=%d propagations=%d conflicts=%d learned=%d restarts=%d"
+      t.verdict t.decisions t.propagations t.conflicts t.learned t.restarts
+  in
+  Alcotest.(check string) name (show expected) (show got)
+
+let test_golden_pigeonhole () =
+  check_trajectory "pigeonhole 10->9"
+    { verdict = "infeasible";
+      decisions = 7341;
+      propagations = 71340;
+      conflicts = 2613;
+      learned = 2612;
+      restarts = 14 }
+    (pigeonhole ~pigeons:10 ~holes:9)
+
+(* the first model of ILP-MR on the paper's base EPS: the GENILP encoding
+   before any LEARNCONS row *)
+let test_golden_mr_base () =
+  let enc = Archex.Gen_ilp.encode (Eps.Eps_template.base ()).template in
+  check_trajectory "base EPS, first ILP-MR model"
+    { verdict = "optimal 13007";
+      decisions = 66;
+      propagations = 982;
+      conflicts = 43;
+      learned = 42;
+      restarts = 0 }
+    (Archex.Gen_ilp.model enc)
+
+(* the monolithic ILP-AR model of the g = 5 EPS (|V| = 25) at r* = 2e-6,
+   whose reliability rows carry non-integral k·p^k coefficients *)
+let test_golden_ar_g5 () =
+  let enc, _ =
+    Archex.Ilp_ar.compile (Eps.Eps_template.make ~generators:5).template
+      ~r_star:2e-6
+  in
+  check_trajectory "g = 5 ILP-AR model"
+    { verdict = "optimal 21010";
+      decisions = 3237;
+      propagations = 60991;
+      conflicts = 1881;
+      learned = 1880;
+      restarts = 12 }
+    (Archex.Gen_ilp.model enc)
+
+(* A session across ILP-MR iterations (base EPS, r* = 2e-6, four
+   iterations): covers the carried clause database, [purge_volatile] and
+   [sync] of appended LEARNCONS rows, and the per-solve restart reset. *)
+let test_golden_mr_session () =
+  match Archex.Ilp_mr.run ~incremental:true (Eps.Eps_template.base ()).template
+          ~r_star:2e-6
+  with
+  | Archex.Synthesis.Synthesized (arch, trace, _) ->
+      let sum f = List.fold_left (fun acc it -> acc + f it) 0 trace in
+      let show (cost, iterations, decisions, propagations, conflicts) =
+        Printf.sprintf
+          "cost=%g iterations=%d decisions=%d propagations=%d conflicts=%d"
+          cost iterations decisions propagations conflicts
+      in
+      Alcotest.(check string) "incremental ILP-MR, base EPS, r* = 2e-6"
+        (show (20008., 4, 2381, 36149, 1584))
+        (show
+           ( arch.Archex.Synthesis.cost,
+             List.length trace,
+             sum (fun it -> it.Archex.Ilp_mr.stats.Solver.nodes),
+             sum (fun it -> it.Archex.Ilp_mr.stats.Solver.propagations),
+             sum (fun it -> it.Archex.Ilp_mr.stats.Solver.conflicts) ))
+  | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "expected a synthesis"
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -598,6 +910,8 @@ let () =
         [ prop (prop_backends_agree Solver.Pseudo_boolean);
           prop (prop_backends_agree Solver.Lp_branch_bound);
           prop prop_optimal_solution_is_feasible;
+          prop prop_pb_wide_matches_brute;
+          prop prop_pb_session_resolve_matches_scratch;
           quick "presolve preserves optimum" test_presolve_preserves_optimum;
           quick "fixed variables respected" test_pb_respects_fixed_vars;
           quick "empty model" test_empty_model;
@@ -611,6 +925,11 @@ let () =
           quick "packs disjoint rows" test_obj_bound_packs_disjoint_rows;
           quick "no double counting on overlap"
             test_obj_bound_overlapping_not_double_counted ] );
+      ( "golden",
+        [ quick "pigeonhole 10->9" test_golden_pigeonhole;
+          quick "base EPS first ILP-MR model" test_golden_mr_base;
+          quick "g = 5 ILP-AR model" test_golden_ar_g5;
+          quick "incremental ILP-MR session" test_golden_mr_session ] );
       ( "var_heap",
         [ quick "orders by activity" test_var_heap_orders_by_activity;
           quick "drains completely" test_var_heap_drains ] );
