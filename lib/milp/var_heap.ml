@@ -49,8 +49,8 @@ let bump t v amount =
 let rescale t factor =
   Array.iteri (fun v a -> t.act.(v) <- a *. factor) t.act
 
-let pop_max t =
-  if t.size = 0 then None
+let pop t =
+  if t.size = 0 then -1
   else begin
     let v = t.heap.(0) in
     t.size <- t.size - 1;
@@ -61,8 +61,12 @@ let pop_max t =
     end;
     t.pos.(v) <- -1;
     if t.size > 0 then sift_down t 0;
-    Some v
+    v
   end
+
+let pop_max t =
+  let v = pop t in
+  if v < 0 then None else Some v
 
 let push t v =
   if t.pos.(v) < 0 then begin

@@ -18,8 +18,12 @@ val bump : t -> int -> float -> unit
 val rescale : t -> float -> unit
 (** Multiply all activities (used to prevent float overflow). *)
 
+val pop : t -> int
+(** Remove and return the queued variable with the highest activity, or
+    [-1] when none is queued (allocation-free). *)
+
 val pop_max : t -> int option
-(** Remove and return the queued variable with the highest activity. *)
+(** [pop] as an option. *)
 
 val push : t -> int -> unit
 (** Re-insert a variable (no-op if already queued). *)
