@@ -123,7 +123,9 @@ module Session : sig
   val add_rows : t -> unit
   (** Ingest rows (and variables) appended to {!model} since the last
       sync.  Optional: [solve] syncs implicitly; call this to surface a
-      trivially-infeasible new row early. *)
+      trivially-infeasible new row early.  After a solve, the state that
+      rested on that solve's incumbent is purged first, as the next
+      [solve] would, so new rows are checked against model facts only. *)
 
   val solve :
     ?metrics:Archex_obs.Metrics.t ->
