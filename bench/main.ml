@@ -232,30 +232,6 @@ let table3 () =
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 
-let ablation_backend () =
-  hr "Ablation: PB (CDCL) vs LP branch-and-bound backends";
-  let inst = Eps.Eps_template.base () in
-  let template = inst.Eps.Eps_template.template in
-  List.iter
-    (fun backend ->
-      let enc = Archex.Gen_ilp.encode template in
-      let t0 = Archex_obs.Clock.now () in
-      match Archex.Gen_ilp.solve ~backend ~time_limit:60. enc with
-      | Some (_, cost, stats) ->
-          Printf.printf
-            "  %-6s base EPS ILP: cost %g in %.3fs (%d nodes, %d conflicts, \
-             %d pivots)\n"
-            (Milp.Solver.backend_name backend)
-            cost stats.Milp.Solver.elapsed stats.Milp.Solver.nodes
-            stats.Milp.Solver.conflicts stats.Milp.Solver.pivots
-      | None -> Printf.printf "  %-6s infeasible?\n"
-                  (Milp.Solver.backend_name backend)
-      | exception Failure msg ->
-          Printf.printf "  %-6s %s (%.1fs)\n"
-            (Milp.Solver.backend_name backend)
-            msg (Archex_obs.Clock.now () -. t0))
-    [ Milp.Solver.Pseudo_boolean; Milp.Solver.Lp_branch_bound ]
-
 let ablation_exact () =
   hr "Ablation: exact reliability engines as redundancy grows";
   Printf.printf "  %-8s %-12s %-12s %-12s %-12s\n" "chains" "r" "bdd (s)"
@@ -460,7 +436,7 @@ let bench_mr_incremental () =
       ("mr_base_r2e-10", fun () -> case ~r_star:2e-10 ()) ]
 
 (* Serial vs parallel sweep: times the three parallel surfaces (sharded
-   Monte-Carlo, per-sink analysis fan-out, portfolio solver) at jobs 1
+   Monte-Carlo, per-sink analysis fan-out, the ILP-MR loop) at jobs 1
    and jobs 4, asserting along the way that every figure is identical —
    the determinism contract — and records the speedups as series.  On a
    single-core box the speedups hover around (or below) 1; the artifact
@@ -531,32 +507,7 @@ let bench_parallel () =
       ("analysis_speedup_x", t1 /. t4) ]
     @ busy_series "analysis" metrics 4
   in
-  (* 3. portfolio solver racing PB and LP-BB on the base EPS ILP *)
-  let solve ?obs backend =
-    let enc = Archex.Gen_ilp.encode template in
-    match
-      Archex.Gen_ilp.solve ?obs ~backend ~time_limit:!per_solve_limit enc
-    with
-    | Some (_, cost, stats) -> (cost, stats.Milp.Solver.elapsed)
-    | None -> failwith "base EPS ILP infeasible"
-  in
-  let portfolio_series () =
-    let cost_pb, t_pb = solve Milp.Solver.Pseudo_boolean in
-    let metrics = Metrics.create () in
-    let obs = Ctx.make ~metrics () in
-    let cost_pf, t_pf = solve ~obs Milp.Solver.Portfolio in
-    assert_eq "ILP objective" cost_pb cost_pf;
-    let winner name =
-      Option.value ~default:0.
-        (Metrics.value metrics ("portfolio.winner." ^ name))
-    in
-    [ ("solve_pb_s", t_pb); ("solve_portfolio_s", t_pf);
-      ("solve_cost", cost_pb);
-      ("portfolio_winner_pb", winner "pb");
-      ("portfolio_winner_lp_bb", winner "lp_bb") ]
-    @ busy_series "portfolio" metrics 2
-  in
-  (* 4. end-to-end ILP-MR cost identity under -j *)
+  (* 3. end-to-end ILP-MR cost identity under -j *)
   let mr_parity_series () =
     let run jobs =
       match
@@ -574,7 +525,7 @@ let bench_parallel () =
   in
   run_cases ~experiment:"parallel" ~output:"BENCH_parallel.json"
     [ ("monte_carlo", mc_series); ("rel_analysis", analysis_series);
-      ("portfolio", portfolio_series); ("ilp_mr_jobs", mr_parity_series) ]
+      ("ilp_mr_jobs", mr_parity_series) ]
 
 (* Serve-daemon throughput sweep: a burst of fast synthesis jobs pushed
    straight into the job engine (no transport), sized past the admission
@@ -779,7 +730,7 @@ let bechamel () =
 let artifacts =
   [ ("table1", table1); ("example1", example1); ("fig2", fig2);
     ("fig3", fig3); ("table2", table2); ("table3", table3);
-    ("ablation-backend", ablation_backend); ("ablation-exact", ablation_exact);
+    ("ablation-exact", ablation_exact);
     ("synthesis", synthesis); ("bench-smoke", bench_smoke);
     ("bench-mr-incremental", bench_mr_incremental);
     ("bench-parallel", bench_parallel); ("bench-serve", bench_serve);
@@ -787,7 +738,7 @@ let artifacts =
 
 let default_artifacts =
   [ "table1"; "example1"; "fig2"; "fig3"; "table2"; "table3";
-    "ablation-backend"; "ablation-exact"; "bechamel" ]
+    "ablation-exact"; "bechamel" ]
 
 let () =
   Logs.set_reporter (Logs.format_reporter ());

@@ -9,13 +9,8 @@ let instance_of generators =
   | Some g -> Eps.Eps_template.make ~generators:g
 
 let backend_conv =
-  let parse = function
-    | "pb" -> Ok Milp.Solver.Pseudo_boolean
-    | "lp-bb" -> Ok Milp.Solver.Lp_branch_bound
-    | "brute" -> Ok Milp.Solver.Brute_force
-    | "core-guided" -> Ok Milp.Solver.Core_guided
-    | "portfolio" -> Ok Milp.Solver.Portfolio
-    | s -> Error (`Msg (Printf.sprintf "unknown backend %S" s))
+  let parse s =
+    Result.map_error (fun m -> `Msg m) (Milp.Solver.backend_of_name s)
   in
   Arg.conv (parse, fun ppf b ->
       Format.pp_print_string ppf (Milp.Solver.backend_name b))
@@ -35,11 +30,8 @@ let r_star_arg =
 
 let backend_arg =
   let doc =
-    "ILP backend: $(b,pb), $(b,lp-bb), $(b,brute), $(b,core-guided) \
-     (BCD2-style bound convergence by capped feasibility probes) or \
-     $(b,portfolio) (races $(b,pb), $(b,lp-bb) and $(b,core-guided) on \
-     separate domains over a shared incumbent; same optimum, first proof \
-     wins)."
+    "ILP backend: $(b,pb) (the pseudo-Boolean branch-and-bound solver) or \
+     $(b,brute) (exhaustive enumeration, for tiny models)."
   in
   Arg.(value & opt backend_conv Milp.Solver.Pseudo_boolean
        & info [ "backend" ] ~doc ~docv:"B")
@@ -49,7 +41,7 @@ let jobs_arg =
     "Number of domains for the per-sink reliability analysis (and the \
      Monte-Carlo rung when the analysis degrades to sampling).  Results \
      are identical at any $(docv) — parallelism only changes wall-clock \
-     time.  Use $(b,--backend portfolio) to also race the ILP solves."
+     time."
   in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~doc ~docv:"JOBS")
 
@@ -339,8 +331,8 @@ let model_hash_of template =
    and scheduler-state gauges (heap words, queue depth at exit, …) are
    noise between runs, so only solver-shaped families are kept. *)
 let series_prefixes =
-  [ "mr."; "ar."; "solve."; "solver."; "pb."; "lp."; "bb."; "rel.";
-    "presolve."; "portfolio."; "progress."; "pool.jobs_"; "gc.pause";
+  [ "mr."; "ar."; "solve."; "solver."; "pb."; "rel.";
+    "presolve."; "progress."; "pool.jobs_"; "gc.pause";
     "serve." ]
 
 let series_of_metrics metrics =
@@ -584,10 +576,17 @@ let mr_term =
                 "archex: resuming after iteration %d (r* = %g)@."
                 (List.length from.Archex.Checkpoint.iterations)
                 from.Archex.Checkpoint.r_star;
-              Archex.Ilp_mr.resume ~obs ?on_event
-                ?strategy:(if lazy_ then Some strategy else None)
-                ~backend ~budget ?checkpoint ~jobs ~incremental
-                inst.Eps.Eps_template.template ~from)
+              match
+                Archex.Ilp_mr.resume ~obs ?on_event
+                  ?strategy:(if lazy_ then Some strategy else None)
+                  ~backend ~budget ?checkpoint ~jobs ~incremental
+                  inst.Eps.Eps_template.template ~from
+              with
+              | result -> result
+              | exception Archex_resilience.Error.E e ->
+                  Format.eprintf "archex: cannot resume from %s: %s@." path
+                    (Archex_resilience.Error.to_string e);
+                  exit exit_invalid)
       | None ->
           Archex.Ilp_mr.run ~obs ?on_event ~strategy ~backend ~budget
             ?checkpoint ~jobs ~incremental inst.Eps.Eps_template.template
@@ -700,7 +699,8 @@ let inspect_cmd =
   in
   let doc =
     "Run ILP-MR with search-effectiveness inspection and report which \
-     constraints actually prune (per-row activity with birth iterations), \
+     constraints take part in conflicts (per-row activity with birth \
+     iterations), \
      which learned rows are dead, per-iteration learned-cut effectiveness, \
      and the cross-iteration redundancy / warm-start-potential profile.  \
      The synthesis result goes to standard error; the redundancy and \
@@ -1668,16 +1668,6 @@ module Top = struct
           | Some c -> Printf.sprintf "   cost %g" c
           | None -> "")
     | None -> ());
-    (let winners =
-       List.filter_map
-         (fun b ->
-           Option.map
-             (fun v -> Printf.sprintf "%s %g" b v)
-             (num s ("portfolio.winner." ^ b)))
-         [ "pb"; "lp_bb" ]
-     in
-     if winners <> [] then
-       line "winners  %s" (String.concat "   " winners));
     (* daemon state, present when the stream comes from archex serve *)
     (match num s "serve.queue_depth" with
     | Some q ->

@@ -33,7 +33,7 @@ type iteration = {
 type t = {
   r_star : float;                  (** the run's reliability target *)
   strategy : string option;        (** ["estimated"] / ["lazy-one-path"] *)
-  backend : string option;         (** ["pb"] / ["lp-bb"] / ["brute"] *)
+  backend : string option;         (** ["pb"] / ["brute"] *)
   iterations : iteration list;     (** chronological *)
 }
 

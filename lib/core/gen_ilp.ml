@@ -191,12 +191,6 @@ let solve_checked ?obs ?on_event ?backend ?rows ?time_limit ?budget ?session
           objective;
           stats }
   | Milp.Solver.Infeasible, stats -> No_solution { stats }
-  | Milp.Solver.Unbounded, stats ->
-      Exhausted
-        { error =
-            Archex_resilience.Error.Invalid_input
-              [ "Gen_ilp: unbounded model (costs must be non-negative)" ];
-          stats }
   | Milp.Solver.Limit_reached { incumbent = Some (objective, solution) },
     stats ->
       (* time-limited solve: the incumbent is feasible, possibly not proven

@@ -50,8 +50,8 @@ type checked =
       error : Archex_resilience.Error.t;
       stats : Milp.Solver.run_stats;
     }
-      (** the solve ran out of budget with no feasible incumbent (or the
-          model was malformed — [Invalid_input]).  [stats.best_bound]
+      (** the solve ran out of budget with no feasible incumbent.
+          [stats.best_bound]
           still carries whatever lower bound the aborted search proved. *)
 
 val solve_checked :

@@ -29,14 +29,6 @@ let strategy_of_name = function
   | "lazy-one-path" -> Some Learn_cons.Lazy_one_path
   | _ -> None
 
-let backend_of_name = function
-  | "pb" -> Some Milp.Solver.Pseudo_boolean
-  | "lp-bb" -> Some Milp.Solver.Lp_branch_bound
-  | "brute" -> Some Milp.Solver.Brute_force
-  | "core-guided" -> Some Milp.Solver.Core_guided
-  | "portfolio" -> Some Milp.Solver.Portfolio
-  | _ -> None
-
 (* Replayed iterations did not re-run the solver; their statistics are
    zero by construction, not unknown. *)
 let replay_stats backend =
@@ -44,12 +36,10 @@ let replay_stats backend =
     nodes = 0;
     propagations = 0;
     conflicts = 0;
-    pivots = 0;
     presolve_fixed = 0;
     presolve_dropped = 0;
     elapsed = 0.;
-    best_bound = None;
-    retries = 0 }
+    best_bound = None }
 
 let checkpoint_iteration it =
   { Checkpoint.index = it.index;
@@ -472,11 +462,7 @@ let run_with_encoding ?(obs = Archex_obs.Ctx.null) ?on_event ?strategy
                           ( "binding",
                             J.Num
                               (float_of_int (Milp.Row_stats.binding rs id))
-                          );
-                          ( "prunes",
-                            J.Num
-                              (float_of_int (Milp.Row_stats.prunes rs id)) )
-                        ]
+                          ) ]
                       :: !activity
                   end
                 done;
@@ -634,10 +620,19 @@ let resume ?obs ?on_event ?strategy ?backend ?engine ?max_iterations
     | Some _ -> strategy
     | None -> Option.bind from.Checkpoint.strategy strategy_of_name
   in
+  (* a checkpoint naming a backend this build does not have is invalid
+     input, even when [backend] overrides it *)
+  let saved_backend =
+    match from.Checkpoint.backend with
+    | None -> None
+    | Some name -> (
+        match Milp.Solver.backend_of_name name with
+        | Ok b -> Some b
+        | Error msg ->
+            raise (Err.E (Err.Invalid_input [ "checkpoint: " ^ msg ])))
+  in
   let backend =
-    match backend with
-    | Some _ -> backend
-    | None -> Option.bind from.Checkpoint.backend backend_of_name
+    match backend with Some _ -> backend | None -> saved_backend
   in
   run ?obs ?on_event ?strategy ?backend ?engine ?max_iterations
     ?solve_time_limit ?certify ?cert_node_budget ?budget ?checkpoint ?jobs

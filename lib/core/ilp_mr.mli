@@ -50,7 +50,7 @@ type iteration = {
           ([row], the insertion index), [name] (declared name or
           ["row<i>"]), [kind] (["template"] / ["requirement"] /
           ["learned"]), birth iteration [born], and the
-          [props]/[conflicts]/[binding]/[prunes] counters of
+          [props]/[conflicts]/[binding] counters of
           {!Milp.Row_stats}. *)
 }
 
@@ -114,15 +114,14 @@ val run :
     ["reliability"] and ["learn"] spans) and counts [mr.iterations] plus
     the metrics of every layer below; GC gauges are sampled once per
     iteration.  [on_event] receives an [Iteration] progress event (source
-    ["ilp-mr"]) after each analyzed candidate, the solver backend's own
+    ["ilp-mr"]) after each analyzed candidate, the solver's own
     heartbeats, and a [Fallback] event for every degradation step taken
-    by the solver or the reliability oracle.
+    by the reliability oracle.
 
     [jobs] (default 1) runs each candidate's per-sink reliability checks
-    on that many domains ({!Rel_analysis.analyze}); combine with the
-    [Portfolio] solver backend to also race the ILP solves.  The
-    synthesized architecture, costs and reliability figures are identical
-    at any [jobs].
+    on that many domains ({!Rel_analysis.analyze}).  The synthesized
+    architecture, costs and reliability figures are identical at any
+    [jobs].
 
     [incremental] (default false) runs the whole loop over one persistent
     solver session ({!Milp.Solver.make_session}): iteration [i+1] resumes
@@ -194,6 +193,10 @@ val resume :
     explicit argument still wins — but changing either voids the replay's
     determinism guarantee).  Pass [checkpoint] (typically the same path)
     to keep checkpointing the resumed run.
+    @raise Archex_resilience.Error.E with [Invalid_input] naming the
+    backend if the checkpoint records one that
+    {!Milp.Solver.backend_of_name} rejects (such as the retired
+    ["lp-bb"]).
     @raise Invalid_argument if the checkpoint references edges that are
     not candidates in [template] (checkpoint/template mismatch). *)
 

@@ -1,8 +1,8 @@
 (** Mixed 0-1 / integer / linear model builder — the YALMIP-role layer.
 
     A model is a mutable container of variables, linear constraints and a
-    minimization objective.  Solvers ({!Pb_solver}, {!Lp_bb}, {!Brute})
-    consume models; {!Bool_encode} adds logical sugar on top. *)
+    minimization objective.  Solvers ({!Pb_solver}, {!Brute})
+    consume pure 0-1 models; {!Bool_encode} adds logical sugar on top. *)
 
 type t
 type var = int

@@ -740,8 +740,8 @@ let rec luby i =
   if (1 lsl !k) - 1 = i then 1 lsl (!k - 1)
   else luby (i - (1 lsl (!k - 1)) + 1)
 
-let search st ~metrics ~on_event ~log ~max_decisions ~time_limit
-    ~lower_bound ~should_stop ~shared ~first_solution =
+let search st ~on_event ~log ~max_decisions ~time_limit ~lower_bound
+    ~should_stop =
   let t0 = Archex_obs.Clock.now () in
   (* limits are per invocation: counters are session-cumulative *)
   let dec0 = st.n_decisions and conf0 = st.n_conflicts in
@@ -884,36 +884,6 @@ let search st ~metrics ~on_event ~log ~max_decisions ~time_limit
         update_global_lb ()
     | None -> raise Exhausted
   in
-  (* Portfolio mode: adopt a better incumbent published by a rival backend.
-     Installing it through the same bound-row path as a local incumbent
-     keeps the Exhausted ⇒ Optimal conclusion sound — the search then only
-     looks for strictly better solutions, so exhaustion proves the adopted
-     incumbent optimal. *)
-  let poll_shared () =
-    match shared with
-    | None -> ()
-    | Some cell -> (
-        match Archex_parallel.Shared_best.get_timed cell with
-        | Some (c, sol, published_at)
-          when (match st.best with
-               | None -> true
-               | Some (b, _) -> c < b -. obj_tol st) ->
-            (* install latency: how long the rival's incumbent sat in the
-               cell before this search started pruning with it *)
-            Archex_obs.Metrics.observe
-              (Archex_obs.Metrics.histogram metrics
-                 "portfolio.install_seconds")
-              (Archex_obs.Clock.now () -. published_at);
-            st.best <- Some (c, sol);
-            add_bound_row_or_exhaust ()
-        | _ -> ())
-  in
-  let publish_incumbent () =
-    match (shared, st.best) with
-    | Some cell, Some (c, sol) ->
-        ignore (Archex_parallel.Shared_best.publish cell c sol)
-    | _ -> ()
-  in
   let next_random () =
     (* Lehmer-style LCG, deterministic across runs *)
     st.rng <- (st.rng * 48271) land 0x3FFFFFFF;
@@ -975,12 +945,10 @@ let search st ~metrics ~on_event ~log ~max_decisions ~time_limit
     update_global_lb ();
     while true do
       check_limits ();
-      poll_shared ();
       if st.conflicts_until_restart <= 0 && st.n_levels > 0 then restart ();
       let x = pick_decision () in
       if x < 0 then begin
         if not (record_incumbent st) then raise Exhausted;
-        publish_incumbent ();
         emit Archex_obs.Event.Incumbent (fun () ->
             with_bound
               [ ( "incumbent",
@@ -993,8 +961,6 @@ let search st ~metrics ~on_event ~log ~max_decisions ~time_limit
                 J.Num (match st.best with Some (c, _) -> c | None -> nan) );
               ("decisions", J.Num (float_of_int st.n_decisions));
               ("conflicts", J.Num (float_of_int st.n_conflicts)) ]);
-        (* feasibility probes stop at the first solution *)
-        if first_solution then raise Limits;
         (* a known objective lower bound proves optimality as soon as the
            incumbent cannot be beaten by the improvement gap *)
         (match st.best with
@@ -1272,25 +1238,6 @@ let sync st m =
     st.lb_extra <- !lb
   end
 
-exception Cap_unreachable
-
-(* Feasibility-probe cap for the core-guided driver: Σ obj·x ≤ cap − const
-   as a bound-kind row (volatile by construction).  Raises when no
-   assignment can reach the cap. *)
-let install_cap st cap =
-  let terms =
-    Array.to_list st.by_cost |> List.map (fun x -> (x, st.obj.(x)))
-  in
-  let rhs = cap -. st.obj_const in
-  match normalize_row (Lin_expr.of_terms terms) Model.Le rhs with
-  | [] -> () (* every assignment satisfies the cap *)
-  | [ con ] ->
-      let ci = add_con ~kind:Kbound ~tainted:false ~origin:(-1) st con in
-      if st.poss.(ci) < con.bound -. con.tol then raise Cap_unreachable;
-      enqueue_implications st ci
-  | _ :: _ :: _ -> assert false
-  | exception Trivially_infeasible -> raise Cap_unreachable
-
 (* Permanent objective floor Σ obj·x ≥ lb − const: the dual of the
    volatile incumbent bound rows.  A proven lower bound on the optimum
    only rises over a session's lifetime (the model only gains rows), so
@@ -1378,7 +1325,7 @@ let record_metrics metrics (stats : stats) =
 
 let session_solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?log ?rows
     ?(max_decisions = max_int) ?time_limit ?(lower_bound = neg_infinity)
-    ?should_stop ?shared ?(first_solution = false) ?objective_cap sess =
+    ?should_stop sess =
   sess.n_solves <- sess.n_solves + 1;
   match sess.sstate with
   | _ when sess.dead -> (Infeasible, zero_stats)
@@ -1415,9 +1362,7 @@ let session_solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?log ?rows
             match st.best with
             | Some (objective, solution) -> Optimal { objective; solution }
             | None ->
-                (* exhausted with no incumbent: under a cap this only rules
-                   out the capped region; without one the model is dead *)
-                if objective_cap = None then sess.dead <- true;
+                sess.dead <- true;
                 Infeasible
         in
         (outcome, stats)
@@ -1450,26 +1395,21 @@ let session_solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?log ?rows
             (* a strictly stronger proven bound becomes a permanent floor
                row; fresh solves skip it (scratch parity: a single-shot
                solve sees exactly the model it was given) *)
-            (if
-               (not was_fresh)
-               && Float.is_finite lower_bound
-               && lower_bound
-                  > sess.installed_lb
-                    +. (1e-9 *. Float.max 1. (Float.abs lower_bound))
-             then begin
-               install_floor st lower_bound;
-               sess.installed_lb <- lower_bound
-             end);
-            (* the cap goes in after the fixings so that a conflict during
-               fixing is attributable to the model, not the cap *)
-            match objective_cap with
-            | None -> ()
-            | Some cap -> install_cap st cap
+            if
+              (not was_fresh)
+              && Float.is_finite lower_bound
+              && lower_bound
+                 > sess.installed_lb
+                   +. (1e-9 *. Float.max 1. (Float.abs lower_bound))
+            then begin
+              install_floor st lower_bound;
+              sess.installed_lb <- lower_bound
+            end
           with
           | () ->
               let hit_limit, bound =
-                search st ~metrics ~on_event ~log ~max_decisions ~time_limit
-                  ~lower_bound ~should_stop ~shared ~first_solution
+                search st ~on_event ~log ~max_decisions ~time_limit
+                  ~lower_bound ~should_stop
               in
               finish hit_limit bound
           | exception Conflict _ ->
@@ -1480,12 +1420,7 @@ let session_solve ?(metrics = Archex_obs.Metrics.null) ?on_event ?log ?rows
               (* no assignment reaches the proven floor: no feasible
                  solutions remain *)
               sess.dead <- true;
-              finish false None
-          | exception Cap_unreachable ->
-              (* no assignment reaches the cap: infeasible UNDER THE CAP
-                 only, so the session stays alive *)
-              let _, stats = finish false None in
-              (Infeasible, stats))
+              finish false None)
       | exception Trivially_infeasible ->
           sess.dead <- true;
           finish false None)
@@ -1526,179 +1461,7 @@ module Session = struct
 end
 
 let solve ?metrics ?on_event ?log ?rows ?max_decisions ?time_limit
-    ?lower_bound ?should_stop ?shared m =
+    ?lower_bound ?should_stop m =
   let sess = create_session ?rows m in
   session_solve ?metrics ?on_event ?log ?max_decisions ?time_limit
-    ?lower_bound ?should_stop ?shared sess
-
-(* ------------------------------------------------------------------ *)
-(* Core-guided optimization (BCD2-style bound convergence)             *)
-
-(* Instead of branch-and-bound's descend-and-tighten, converge lower and
-   upper bounds by bisection: each probe asks "is there ANY solution of
-   cost ≤ cap?" with a first-solution session solve under a cap row.  An
-   UNSAT probe lifts the lower bound past the cap; a solution lowers the
-   upper bound to its cost.  Untainted clauses learned during one probe
-   carry into the next through the session, which is what makes the
-   strategy competitive: the probes share a growing clause database. *)
-let solve_core_guided ?(metrics = Archex_obs.Metrics.null) ?on_event ?log
-    ?rows ?(max_decisions = max_int) ?time_limit
-    ?(lower_bound = neg_infinity) ?should_stop ?shared m =
-  let sess = create_session ?rows m in
-  match sess.sstate with
-  | None -> (Infeasible, zero_stats)
-  | Some st ->
-      let t0 = Archex_obs.Clock.now () in
-      let deadline = Option.map (fun tl -> t0 +. tl) time_limit in
-      let remaining () =
-        Option.map
-          (fun d -> Float.max 0.01 (d -. Archex_obs.Clock.now ()))
-          deadline
-      in
-      let out_of_time () =
-        match deadline with
-        | None -> false
-        | Some d -> Archex_obs.Clock.now () >= d
-      in
-      let stopped () =
-        match should_stop with Some f -> f () | None -> false
-      in
-      let integral = st.obj_integral in
-      let obj_const0 = st.obj_const in
-      (* min conceivable cost: every coefficient at its cheap value *)
-      let lb = ref (Float.max lower_bound (st.base_lb +. obj_const0)) in
-      let ub = ref infinity in
-      let best = ref None in
-      let gap_at c =
-        if integral then 1. -. 1e-6
-        else 1e-7 *. Float.max 1. (Float.abs c)
-      in
-      let tot = ref zero_stats in
-      let used_decisions = ref 0 in
-      let add_stats (s : stats) =
-        used_decisions := !used_decisions + max s.decisions s.conflicts;
-        tot :=
-          { decisions = !tot.decisions + s.decisions;
-            propagations = !tot.propagations + s.propagations;
-            conflicts = !tot.conflicts + s.conflicts;
-            restarts = !tot.restarts + s.restarts;
-            learned = !tot.learned + s.learned;
-            bound = (if Float.is_finite !lb then Some !lb else None) }
-      in
-      let publish () =
-        match (shared, !best) with
-        | Some cell, Some (c, sol) ->
-            ignore (Archex_parallel.Shared_best.publish cell c sol)
-        | _ -> ()
-      in
-      (* Rival incumbents only move the upper bound between probes; probes
-         themselves run unshared so that first-solution exhaustion keeps
-         its cap-relative meaning. *)
-      let poll () =
-        match shared with
-        | None -> ()
-        | Some cell -> (
-            match Archex_parallel.Shared_best.get_timed cell with
-            | Some (c, sol, _)
-              when (match !best with
-                   | None -> true
-                   | Some (b, _) ->
-                       c < b -. (1e-9 *. Float.max 1. (Float.abs b))) ->
-                best := Some (c, sol);
-                if c < !ub then ub := c
-            | _ -> ())
-      in
-      let probe_budget () =
-        if max_decisions = max_int then max_int
-        else max 1 (max_decisions - !used_decisions)
-      in
-      (* one feasibility probe; [`Found]/[`Empty]/[`Limit] *)
-      let step ?objective_cap () =
-        let outcome, stats =
-          session_solve ~metrics ?on_event ?log
-            ~max_decisions:(probe_budget ()) ?time_limit:(remaining ())
-            ?should_stop ~first_solution:true ?objective_cap sess
-        in
-        add_stats stats;
-        match outcome with
-        | Optimal { objective; solution } | Limit_reached
-            { incumbent = Some (objective, solution) } ->
-            `Found (objective, solution)
-        | Infeasible -> `Empty
-        | Limit_reached { incumbent = None } -> `Limit
-      in
-      let final limit =
-        let stats =
-          { !tot with bound = (if Float.is_finite !lb then Some !lb else None) }
-        in
-        let outcome =
-          if limit then Limit_reached { incumbent = !best }
-          else
-            match !best with
-            | Some (objective, solution) ->
-                if Float.is_finite !lb && objective > !lb then lb := objective;
-                Optimal
-                  { objective;
-                    solution }
-            | None -> Infeasible
-        in
-        ( outcome,
-          { stats with
-            bound = (if Float.is_finite !lb then Some !lb else None) } )
-      in
-      (* initial upper bound: any feasible solution *)
-      (match step () with
-      | `Empty -> final false (* model infeasible *)
-      | `Limit -> final true
-      | `Found (c, sol) ->
-          best := Some (c, sol);
-          ub := c;
-          publish ();
-          let limit = ref false in
-          while
-            (not !limit)
-            && !ub -. !lb > gap_at !ub
-            && (not (out_of_time ()))
-            && (not (stopped ()))
-            && !used_decisions < max_decisions
-          do
-            poll ();
-            if !ub -. !lb <= gap_at !ub then ()
-            else begin
-              let mid = (!lb +. !ub) /. 2. in
-              let cap =
-                if integral then
-                  obj_const0 +. Float.of_int
-                    (int_of_float (Float.floor (mid -. obj_const0 +. 1e-9)))
-                else mid
-              in
-              (* progress needs lb ≤ cap ≤ ub − gap *)
-              let cap = Float.min cap (!ub -. gap_at !ub) in
-              let cap = Float.max cap !lb in
-              match step ~objective_cap:cap () with
-              | `Found (c, sol) ->
-                  if c < !ub then begin
-                    ub := c;
-                    best := Some (c, sol);
-                    publish ()
-                  end
-                  else
-                    (* cap ≤ ub − gap makes this unreachable; bail rather
-                       than loop if numerics disagree *)
-                    limit := true
-              | `Empty ->
-                  (* no solution of cost ≤ cap: lift the floor past it *)
-                  lb :=
-                    (if integral then cap +. 1.
-                     else cap +. (1e-9 *. Float.max 1. (Float.abs cap)))
-              | `Limit -> limit := true
-            end
-          done;
-          if !limit || out_of_time () || stopped () then final true
-          else begin
-            (* bounds met: the incumbent is optimal *)
-            (match !best with
-            | Some (c, _) when !lb < c -. gap_at c -> lb := c -. gap_at c
-            | _ -> ());
-            final false
-          end)
+    ?lower_bound ?should_stop sess

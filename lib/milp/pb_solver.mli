@@ -12,8 +12,7 @@
     interconnection rows.
 
     Besides one-shot {!solve}, the solver exposes persistent {!Session}s
-    for the ILP-MR loop (re-solving a monotonically growing model) and a
-    core-guided bound-convergence mode ({!solve_core_guided}). *)
+    for the ILP-MR loop (re-solving a monotonically growing model). *)
 
 type stats = {
   decisions : int;
@@ -45,7 +44,6 @@ val solve :
   ?rows:Row_stats.t ->
   ?max_decisions:int -> ?time_limit:float -> ?lower_bound:float ->
   ?should_stop:(unit -> bool) ->
-  ?shared:Archex_parallel.Shared_best.t ->
   Model.t -> outcome * stats
 (** Minimize the model objective over all feasible 0-1 assignments.
     [time_limit] is in wall-clock seconds ({!Archex_obs.Clock};
@@ -83,11 +81,7 @@ val solve :
 
     [should_stop] (polled every few dozen search steps) requests a
     cooperative abort: the solve returns [Limit_reached] with the current
-    incumbent.  [shared] plugs the solver into a portfolio race
-    ({!Solver} with the [Portfolio] backend): improving incumbents are
-    published to the cell, and rival incumbents found there are adopted
-    through the same objective-bound path as local ones, so optimality
-    conclusions stay sound and each racer prunes with the other's bounds.
+    incumbent.
     @raise Invalid_argument if the model has non-Boolean variables. *)
 
 (** Persistent solver sessions: solve a model, append rows to it, solve
@@ -134,9 +128,6 @@ module Session : sig
     ?rows:Row_stats.t ->
     ?max_decisions:int -> ?time_limit:float -> ?lower_bound:float ->
     ?should_stop:(unit -> bool) ->
-    ?shared:Archex_parallel.Shared_best.t ->
-    ?first_solution:bool ->
-    ?objective_cap:float ->
     t -> outcome * stats
   (** Like {!val:solve}, resuming from the session's carried state.  The
       returned [stats] are per-invocation deltas (snapshot-and-subtract
@@ -144,14 +135,7 @@ module Session : sig
       equals {!totals} — no double-counting in [Ilp_mr.iteration.stats]
       or the [solver.constraint.*] metrics.  [rows] overrides the
       activity tracker for this invocation (the [Ilp_mr] inspect path
-      passes a fresh tracker per iteration).
-
-      [first_solution] stops at the first feasible solution and returns it
-      as [Limit_reached { incumbent = Some _ }] — a feasibility probe.
-      [objective_cap c] constrains the probe to solutions of cost ≤ [c]
-      via a volatile bound row; [Infeasible] then means "no solution under
-      the cap" and does not kill the session.  Both are the building
-      blocks of {!solve_core_guided}. *)
+      passes a fresh tracker per iteration). *)
 
   val totals : t -> stats
   (** Session-cumulative counters; [bound] is the last solve's bound. *)
@@ -163,21 +147,3 @@ module Session : sig
   (** Learned rows carried into the most recent solve (after purging
       bound-tainted ones) — the certificate provenance stamp. *)
 end
-
-val solve_core_guided :
-  ?metrics:Archex_obs.Metrics.t ->
-  ?on_event:(Archex_obs.Event.t -> unit) ->
-  ?log:(Archex_obs.Json.t -> unit) ->
-  ?rows:Row_stats.t ->
-  ?max_decisions:int -> ?time_limit:float -> ?lower_bound:float ->
-  ?should_stop:(unit -> bool) ->
-  ?shared:Archex_parallel.Shared_best.t ->
-  Model.t -> outcome * stats
-(** BCD2-style core-guided optimization: converge lower and upper bounds
-    by bisection, each step a first-solution feasibility probe under an
-    objective cap (UNSAT lifts the floor past the cap, a solution lowers
-    the ceiling to its cost), with clauses learned by one probe carried
-    into the next through a persistent session.  Same contract as
-    {!val:solve}; raced against branch-and-bound by {!Solver}'s portfolio
-    backend.  [shared] incumbents are adopted between probes (never inside
-    one, keeping each probe's cap-relative UNSAT answer sound). *)

@@ -4,12 +4,11 @@ type t = {
   mutable props : int array;
   mutable confl : int array;
   mutable bind : int array;
-  mutable prune : int array;
   mutable len : int; (* max bumped index + 1 *)
 }
 
 let create () =
-  { props = [||]; confl = [||]; bind = [||]; prune = [||]; len = 0 }
+  { props = [||]; confl = [||]; bind = [||]; len = 0 }
 
 let grow a n =
   let cap = max n (max 16 (2 * Array.length a)) in
@@ -21,8 +20,7 @@ let ensure t i =
   if i >= Array.length t.props then begin
     t.props <- grow t.props (i + 1);
     t.confl <- grow t.confl (i + 1);
-    t.bind <- grow t.bind (i + 1);
-    t.prune <- grow t.prune (i + 1)
+    t.bind <- grow t.bind (i + 1)
   end;
   if i >= t.len then t.len <- i + 1
 
@@ -44,21 +42,13 @@ let bump_binding t i =
     t.bind.(i) <- t.bind.(i) + 1
   end
 
-let bump_prune t i =
-  if i >= 0 then begin
-    ensure t i;
-    t.prune.(i) <- t.prune.(i) + 1
-  end
-
 let rows t = t.len
 let get a i = if i >= 0 && i < Array.length a then a.(i) else 0
 let propagations t i = get t.props i
 let conflicts t i = get t.confl i
 let binding t i = get t.bind i
-let prunes t i = get t.prune i
 
-let activity t i =
-  propagations t i + conflicts t i + binding t i + prunes t i
+let activity t i = propagations t i + conflicts t i + binding t i
 
 let total a len =
   let s = ref 0 in
@@ -70,18 +60,6 @@ let total a len =
 let total_propagations t = total t.props t.len
 let total_conflicts t = total t.confl t.len
 let total_binding t = total t.bind t.len
-let total_prunes t = total t.prune t.len
-
-let merge ~into src =
-  for i = 0 to src.len - 1 do
-    if activity src i > 0 then begin
-      ensure into i;
-      into.props.(i) <- into.props.(i) + propagations src i;
-      into.confl.(i) <- into.confl.(i) + conflicts src i;
-      into.bind.(i) <- into.bind.(i) + binding src i;
-      into.prune.(i) <- into.prune.(i) + prunes src i
-    end
-  done
 
 let to_json t =
   let rows_json = ref [] in
@@ -92,8 +70,7 @@ let to_json t =
           [ ("row", J.Num (float_of_int i));
             ("props", J.Num (float_of_int (propagations t i)));
             ("conflicts", J.Num (float_of_int (conflicts t i)));
-            ("binding", J.Num (float_of_int (binding t i)));
-            ("prunes", J.Num (float_of_int (prunes t i))) ]
+            ("binding", J.Num (float_of_int (binding t i))) ]
         :: !rows_json
   done;
   J.Obj [ ("rows", J.Arr !rows_json) ]

@@ -2,20 +2,16 @@
 
     A [Row_stats.t] accumulates, per {e model row} (identified by its
     insertion index in the {!Model.t} handed to the solver), how useful the
-    row was during one solve:
+    row was during one {!Pb_solver} solve:
 
-    - {b propagations}: unit propagations the row caused ({!Pb_solver});
+    - {b propagations}: unit propagations the row caused;
     - {b conflicts}: conflicts the row participated in, either as the
       directly falsified row or as a reason expanded during 1-UIP conflict
-      analysis ({!Pb_solver});
+      analysis;
     - {b binding}: times the row was tight (|activity - bound| ≤ tol) at an
-      improving incumbent ({!Pb_solver}, {!Lp_bb});
-    - {b prunes}: LP-relaxation nodes cut off while the row was tight at the
-      relaxation optimum ({!Lp_bb}); for the PB backend, conflicts at
-      complete or near-complete assignments play the same role.
+      improving incumbent.
 
-    The structure is single-domain mutable; portfolio racers each get their
-    own instance, {!merge}d after the race.  All bumps ignore negative
+    The structure is single-domain mutable.  All bumps ignore negative
     indices, so solver-internal rows (learned clauses, bound rows) can pass
     [-1] unconditionally. *)
 
@@ -26,7 +22,6 @@ val create : unit -> t
 val bump_propagation : t -> int -> unit
 val bump_conflict : t -> int -> unit
 val bump_binding : t -> int -> unit
-val bump_prune : t -> int -> unit
 
 val rows : t -> int
 (** Number of rows with recorded activity (max bumped index + 1). *)
@@ -34,21 +29,15 @@ val rows : t -> int
 val propagations : t -> int -> int
 val conflicts : t -> int -> int
 val binding : t -> int -> int
-val prunes : t -> int -> int
 (** Per-row accessors; 0 beyond {!rows}. *)
 
 val activity : t -> int -> int
-(** Sum of all four counters for one row. *)
+(** Sum of all three counters for one row. *)
 
 val total_propagations : t -> int
 val total_conflicts : t -> int
 val total_binding : t -> int
-val total_prunes : t -> int
-
-val merge : into:t -> t -> unit
-(** Add every counter of the second argument into [into]. *)
 
 val to_json : t -> Archex_obs.Json.t
-(** [{"rows": [{"row": i, "props": _, "conflicts": _, "binding": _,
-    "prunes": _}, ...]}] listing only rows with nonzero activity, in row
-    order. *)
+(** [{"rows": [{"row": i, "props": _, "conflicts": _, "binding": _},
+    ...]}] listing only rows with nonzero activity, in row order. *)

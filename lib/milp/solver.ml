@@ -1,36 +1,42 @@
-type backend =
-  | Pseudo_boolean
-  | Lp_branch_bound
-  | Brute_force
-  | Core_guided
-  | Portfolio
+type backend = Pseudo_boolean | Brute_force
 
-(* Persistent solver state carried across calls on a monotonically growing
-   model — PB-only today (the MR hot path is pure 0-1); a mixed model gets
-   a session that every backend simply ignores. *)
-type session = {
-  sbase : Model.t;
-  spb : Pb_solver.Session.t option;
-}
+let backends = [ Pseudo_boolean; Brute_force ]
+
+let backend_name = function Pseudo_boolean -> "pb" | Brute_force -> "brute"
+
+let backend_of_name name =
+  match List.find_opt (fun b -> backend_name b = name) backends with
+  | Some b -> Ok b
+  | None ->
+      Error
+        (Printf.sprintf "unknown backend %S (expected %s)" name
+           (String.concat " or " (List.map backend_name backends)))
+
+(* Both backends enumerate 0-1 assignments: a model with an integer or
+   continuous variable is rejected up front with the typed error. *)
+let require_pure_boolean m =
+  if not (Model.is_pure_boolean m) then
+    raise
+      (Archex_resilience.Error.E
+         (Archex_resilience.Error.Invalid_input
+            [ "the solver handles pure 0-1 models only: this model has an \
+               integer or continuous variable" ]))
+
+(* Persistent PB state carried across calls on a monotonically growing
+   model (the ILP-MR loop). *)
+type session = Pb_solver.Session.t
 
 let make_session ?rows m =
-  { sbase = m;
-    spb =
-      (if Model.is_pure_boolean m then Some (Pb_solver.Session.create ?rows m)
-       else None) }
+  require_pure_boolean m;
+  Pb_solver.Session.create ?rows m
 
-let session_model s = s.sbase
-
-let session_carried_learned s =
-  match s.spb with Some ps -> Pb_solver.Session.carried_learned ps | None -> 0
-
-let session_solves s =
-  match s.spb with Some ps -> Pb_solver.Session.solves ps | None -> 0
+let session_model = Pb_solver.Session.model
+let session_carried_learned = Pb_solver.Session.carried_learned
+let session_solves = Pb_solver.Session.solves
 
 type outcome =
   | Optimal of { objective : float; solution : float array }
   | Infeasible
-  | Unbounded
   | Limit_reached of { incumbent : (float * float array) option }
 
 type run_stats = {
@@ -38,20 +44,11 @@ type run_stats = {
   nodes : int;
   propagations : int;
   conflicts : int;
-  pivots : int;
   presolve_fixed : int;
   presolve_dropped : int;
   elapsed : float;
   best_bound : float option;
-  retries : int;
 }
-
-let backend_name = function
-  | Pseudo_boolean -> "pb"
-  | Lp_branch_bound -> "lp-bb"
-  | Brute_force -> "brute"
-  | Core_guided -> "core-guided"
-  | Portfolio -> "portfolio"
 
 let solution_value solution x = solution.(x) >= 0.5
 
@@ -86,12 +83,10 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
       nodes = 0;
       propagations = 0;
       conflicts = 0;
-      pivots = 0;
       presolve_fixed = List.length pre.Presolve.fixed;
       presolve_dropped = pre.Presolve.dropped_rows;
       elapsed = 0.;
-      best_bound = None;
-      retries = 0 }
+      best_bound = None }
   in
   let outcome, stats =
     if pre.Presolve.infeasible then (Infeasible, empty_stats)
@@ -109,21 +104,29 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
         | Some b -> Float.max b lower_bound
         | None -> lower_bound
       in
-      let pb_session =
-        match session with
-        | Some { spb = Some ps; _ } -> Some ps
-        | Some { spb = None; _ } | None -> None
-      in
-      let map_pb o =
-        match o with
+      let of_pb = function
         | Pb_solver.Optimal { objective; solution } ->
             Optimal { objective; solution }
         | Pb_solver.Infeasible -> Infeasible
         | Pb_solver.Limit_reached { incumbent } -> Limit_reached { incumbent }
       in
-      let rec run_backend backend =
-      match backend with
-      | Pseudo_boolean when pb_session <> None ->
+      let pb_stats (s : Pb_solver.stats) =
+        { empty_stats with
+          nodes = s.decisions;
+          propagations = s.propagations;
+          conflicts = s.conflicts;
+          best_bound = s.bound }
+      in
+      match (backend, session) with
+      | Brute_force, _ ->
+          let outcome =
+            match Brute.solve m' with
+            | Brute.Optimal { objective; solution } ->
+                Optimal { objective; solution }
+            | Brute.Infeasible -> Infeasible
+          in
+          (outcome, empty_stats)
+      | Pseudo_boolean, Some ps ->
           (* Incremental path: solve through the persistent session (which
              captured [m] itself; [m'] above only contributed the
              strengthened bound).  No optimistic probe here — the session's
@@ -132,24 +135,14 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
              lower-bound optimality shortcut then closes the solve just as
              fast; a probe could only duplicate that or burn half the
              budget refuting a stale cap. *)
-          let ps = Option.get pb_session in
+          phase "main";
           let o, s =
-            phase "main";
-            let o, s =
-              Pb_solver.Session.solve ~metrics ?on_event ?log ?rows
-                ?max_decisions:max_nodes ?time_limit ~lower_bound
-                ?should_stop ps
-            in
-            (map_pb o, s)
+            Pb_solver.Session.solve ~metrics ?on_event ?log ?rows
+              ?max_decisions:max_nodes ?time_limit ~lower_bound
+              ?should_stop ps
           in
-          ( o,
-            { empty_stats with
-              nodes = s.Pb_solver.decisions;
-              propagations = s.Pb_solver.propagations;
-              conflicts = s.Pb_solver.conflicts;
-              best_bound = s.Pb_solver.bound },
-            false )
-      | Pseudo_boolean ->
+          (of_pb o, pb_stats s)
+      | Pseudo_boolean, None ->
           (* Optimistic probe: when the combinatorial bound exists, first try
              pure feasibility at cost ≤ bound — success is a proven optimum
              and sidesteps the incumbent-improvement search entirely. *)
@@ -203,14 +196,6 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
                     ?max_decisions:max_nodes ?time_limit:remaining
                     ~lower_bound ?should_stop m'
                 in
-                let outcome =
-                  match o with
-                  | Pb_solver.Optimal { objective; solution } ->
-                      Optimal { objective; solution }
-                  | Pb_solver.Infeasible -> Infeasible
-                  | Pb_solver.Limit_reached { incumbent } ->
-                      Limit_reached { incumbent }
-                in
                 let s =
                   match !probe_work with
                   | None -> s
@@ -222,265 +207,9 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
                         restarts = s.restarts + p.restarts;
                         learned = s.learned + p.learned }
                 in
-                (outcome, s)
+                (of_pb o, s)
           in
-          ( o,
-            { empty_stats with
-              nodes = s.Pb_solver.decisions;
-              propagations = s.Pb_solver.propagations;
-              conflicts = s.Pb_solver.conflicts;
-              best_bound = s.Pb_solver.bound },
-            false )
-      | Lp_branch_bound ->
-          let o, s =
-            Lp_bb.solve ~metrics ?on_event ?log ?rows ?max_nodes ?time_limit
-              ?should_stop m'
-          in
-          let outcome =
-            match o with
-            | Lp_bb.Optimal { objective; solution } ->
-                Optimal { objective; solution }
-            | Lp_bb.Infeasible -> Infeasible
-            | Lp_bb.Unbounded -> Unbounded
-            | Lp_bb.Limit_reached { incumbent } -> Limit_reached { incumbent }
-          in
-          ( outcome,
-            { empty_stats with
-              nodes = s.Lp_bb.nodes;
-              pivots = s.Lp_bb.pivots;
-              best_bound = s.Lp_bb.bound },
-            s.Lp_bb.pivot_limited )
-      | Brute_force ->
-          let outcome =
-            match Brute.solve m' with
-            | Brute.Optimal { objective; solution } ->
-                Optimal { objective; solution }
-            | Brute.Infeasible -> Infeasible
-          in
-          (outcome, empty_stats, false)
-      | Core_guided ->
-          (* BCD2-style bound convergence: feasibility probes under an
-             objective cap through a private solver session.  Pure 0-1
-             only, like PB — mixed models fall through to LP. *)
-          if not (Model.is_pure_boolean m') then run_backend Lp_branch_bound
-          else begin
-            phase "core-guided";
-            let o, s =
-              Pb_solver.solve_core_guided ~metrics ?on_event ?log ?rows
-                ?max_decisions:max_nodes ?time_limit ~lower_bound
-                ?should_stop m'
-            in
-            ( map_pb o,
-              { empty_stats with
-                nodes = s.Pb_solver.decisions;
-                propagations = s.Pb_solver.propagations;
-                conflicts = s.Pb_solver.conflicts;
-                best_bound = s.Pb_solver.bound },
-              false )
-          end
-      | Portfolio ->
-          (* Race the three exact backends on separate domains over a
-             shared incumbent cell: each prunes with the others'
-             incumbents, the first optimality (or infeasibility) proof
-             cancels the rest.  PB and core-guided require a pure 0-1
-             model, so mixed models fall through to plain LP
-             branch-and-bound.  An incremental session rides the PB racer
-             (the other two stay scratch on private model copies). *)
-          if not (Model.is_pure_boolean m') then run_backend Lp_branch_bound
-          else begin
-            let module P = Archex_parallel in
-            let shared = P.Shared_best.create () in
-            let stop = P.Cancel.create () in
-            (* the racers stop on the first definitive proof (token) OR on
-               the caller's cooperative cancellation (budget hook) *)
-            let caller_stop = should_stop in
-            let should_stop () =
-              P.Cancel.is_cancelled stop
-              || (match caller_stop with Some f -> f () | None -> false)
-            in
-            (* observability sinks are not required to be thread-safe:
-               serialize every racer's emissions through one lock *)
-            let sink_lock = Mutex.create () in
-            let serialize sink =
-              Option.map
-                (fun f x ->
-                  Mutex.lock sink_lock;
-                  Fun.protect
-                    ~finally:(fun () -> Mutex.unlock sink_lock)
-                    (fun () -> f x))
-                sink
-            in
-            let on_event = serialize on_event in
-            let log = serialize log in
-            phase "portfolio";
-            let pb_model = Model.copy m'
-            and lp_model = Model.copy m'
-            and cg_model = Model.copy m' in
-            (* Row_stats is single-domain mutable: each racer fills its own
-               instance, merged into the caller's after the join. *)
-            let pb_rows = Option.map (fun _ -> Row_stats.create ()) rows in
-            let lp_rows = Option.map (fun _ -> Row_stats.create ()) rows in
-            let cg_rows = Option.map (fun _ -> Row_stats.create ()) rows in
-            let definitive = function
-              | Optimal _ | Infeasible | Unbounded -> true
-              | Limit_reached _ -> false
-            in
-            (* a racer that exits after the token fired was cancelled:
-               the gap between the first cancel and its wind-down is the
-               cancellation latency (how promptly workers notice) *)
-            let observe_cancel_latency o =
-              if not (definitive o) then
-                match P.Cancel.cancelled_at stop with
-                | Some at ->
-                    Archex_obs.Metrics.observe
-                      (Archex_obs.Metrics.histogram metrics
-                         "portfolio.cancel_latency_seconds")
-                      (now () -. at)
-                | None -> ()
-            in
-            let run_pb () =
-              let o, s =
-                match pb_session with
-                | Some ps ->
-                    Pb_solver.Session.solve ~metrics ?on_event ?log
-                      ?rows:pb_rows ?max_decisions:max_nodes ?time_limit
-                      ~lower_bound ~should_stop ~shared ps
-                | None ->
-                    Pb_solver.solve ~metrics ?on_event ?log ?rows:pb_rows
-                      ?max_decisions:max_nodes ?time_limit ~lower_bound
-                      ~should_stop ~shared pb_model
-              in
-              let o = map_pb o in
-              if definitive o then P.Cancel.cancel stop
-              else observe_cancel_latency o;
-              (o, s)
-            in
-            let run_cg () =
-              let o, s =
-                Pb_solver.solve_core_guided ~metrics ?on_event ?log
-                  ?rows:cg_rows ?max_decisions:max_nodes ?time_limit
-                  ~lower_bound ~should_stop ~shared cg_model
-              in
-              let o = map_pb o in
-              if definitive o then P.Cancel.cancel stop
-              else observe_cancel_latency o;
-              (o, s)
-            in
-            let run_lp () =
-              let o, s =
-                Lp_bb.solve ~metrics ?on_event ?log ?rows:lp_rows ?max_nodes
-                  ?time_limit ~should_stop ~shared lp_model
-              in
-              let o =
-                match o with
-                | Lp_bb.Optimal { objective; solution } ->
-                    Optimal { objective; solution }
-                | Lp_bb.Infeasible -> Infeasible
-                | Lp_bb.Unbounded -> Unbounded
-                | Lp_bb.Limit_reached { incumbent } ->
-                    Limit_reached { incumbent }
-              in
-              if definitive o then P.Cancel.cancel stop
-              else observe_cancel_latency o;
-              (o, s)
-            in
-            let pb, lp, cg =
-              match
-                P.Pool.with_pool ~obs ~jobs:3 (fun pool ->
-                    P.Pool.run pool
-                      [ (fun () -> `Pb (run_pb ()));
-                        (fun () -> `Lp (run_lp ()));
-                        (fun () -> `Cg (run_cg ())) ])
-              with
-              | [ `Pb pb; `Lp lp; `Cg cg ] -> (pb, lp, cg)
-              | _ -> assert false
-            in
-            let pb_o, pb_s = pb and lp_o, lp_s = lp and cg_o, cg_s = cg in
-            (match rows with
-            | Some into ->
-                Option.iter (fun r -> Row_stats.merge ~into r) pb_rows;
-                Option.iter (fun r -> Row_stats.merge ~into r) lp_rows;
-                Option.iter (fun r -> Row_stats.merge ~into r) cg_rows
-            | None -> ());
-            (* winner attribution: which racer produced the definitive
-               answer (PB beats LP-BB on ties — it cancelled first or at
-               the same poll, and its proof is checked below either way) *)
-            (match
-               if definitive pb_o then Some "pb"
-               else if definitive lp_o then Some "lp_bb"
-               else if definitive cg_o then Some "core_guided"
-               else None
-             with
-            | Some winner ->
-                Archex_obs.Metrics.incr
-                  (Archex_obs.Metrics.counter metrics
-                     ("portfolio.winner." ^ winner));
-                Archex_obs.Trace.instant
-                  ~attrs:[ ("winner", J.Str winner) ]
-                  (Archex_obs.Ctx.trace obs) "portfolio.winner"
-            | None -> ());
-            let outcome =
-              if definitive pb_o then pb_o
-              else if definitive lp_o then lp_o
-              else if definitive cg_o then cg_o
-              else
-                (* every racer hit limits: the shared cell saw every
-                   published incumbent, local or adopted *)
-                Limit_reached { incumbent = P.Shared_best.get shared }
-            in
-            (* each racer's proven lower bound is valid: keep the max *)
-            let max_opt a b =
-              match (a, b) with
-              | Some a, Some b -> Some (Float.max a b)
-              | (Some _ as s), None | None, (Some _ as s) -> s
-              | None, None -> None
-            in
-            let best_bound =
-              max_opt
-                (max_opt pb_s.Pb_solver.bound cg_s.Pb_solver.bound)
-                lp_s.Lp_bb.bound
-            in
-            ( outcome,
-              { empty_stats with
-                nodes =
-                  pb_s.Pb_solver.decisions + lp_s.Lp_bb.nodes
-                  + cg_s.Pb_solver.decisions;
-                propagations =
-                  pb_s.Pb_solver.propagations + cg_s.Pb_solver.propagations;
-                conflicts =
-                  pb_s.Pb_solver.conflicts + cg_s.Pb_solver.conflicts;
-                pivots = lp_s.Lp_bb.pivots;
-                best_bound },
-              false )
-          end
-      in
-      let o, s, stalled = run_backend backend in
-      (* Numeric-stall degradation: a simplex pivot-ceiling trip inside the
-         LP relaxation is a numeric breakdown, not a search-space fact.  On
-         a pure 0-1 model the pseudo-Boolean backend solves the same
-         problem without an LP, so retry there once (the chain
-         Lp_branch_bound → Pseudo_boolean of the degradation ladder). *)
-      if stalled && backend = Lp_branch_bound && Model.is_pure_boolean m'
-      then begin
-        phase "retry-pb";
-        (match on_event with
-        | None -> ()
-        | Some f ->
-            f
-              { Archex_obs.Event.source = "solver";
-                kind = Archex_obs.Event.Fallback;
-                elapsed = now () -. t0;
-                data = [ ("retry", 1.) ] });
-        Archex_obs.Metrics.incr
-          (Archex_obs.Metrics.counter metrics "solve.retries");
-        let o2, s2, _ = run_backend Pseudo_boolean in
-        ( o2,
-          { s2 with
-            backend = Pseudo_boolean;
-            pivots = s.pivots;
-            retries = 1 } )
-      end
-      else (o, s)
+          (o, pb_stats s)
     end
   in
   let stats =
@@ -514,16 +243,12 @@ let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?presolve ?rows
                 "pass ~presolve:false (or omit it) when supplying ~session"
               ]))
   | _ -> ());
+  require_pure_boolean m;
   let presolve =
     (match presolve with Some p -> p | None -> true)
     && rows = None && session = None
   in
-  let backend =
-    match backend with
-    | Some b -> b
-    | None ->
-        if Model.is_pure_boolean m then Pseudo_boolean else Lp_branch_bound
-  in
+  let backend = Option.value backend ~default:Pseudo_boolean in
   (* clamp the per-call limits under what the global budget has left *)
   let module B = Archex_resilience.Budget in
   let time_limit =
@@ -570,12 +295,10 @@ let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?presolve ?rows
               nodes = 0;
               propagations = 0;
               conflicts = 0;
-              pivots = 0;
               presolve_fixed = 0;
               presolve_dropped = 0;
               elapsed = 0.;
-              best_bound = None;
-              retries = 0 } )
+              best_bound = None } )
         else
           solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
             ?time_limit ?should_stop ?session ?lower_bound m)
@@ -601,8 +324,7 @@ let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?presolve ?rows
         in
         add "solver.constraint.propagations" (Row_stats.total_propagations rs);
         add "solver.constraint.conflicts" (Row_stats.total_conflicts rs);
-        add "solver.constraint.binding" (Row_stats.total_binding rs);
-        add "solver.constraint.prunes" (Row_stats.total_prunes rs)
+        add "solver.constraint.binding" (Row_stats.total_binding rs)
       end;
       match Archex_obs.Ctx.search_log obs with
       | None -> ()
@@ -623,14 +345,12 @@ let pp_run_stats ppf s =
   if s.propagations > 0 || s.conflicts > 0 then
     Format.fprintf ppf ", %d propagations, %d conflicts" s.propagations
       s.conflicts;
-  if s.pivots > 0 then Format.fprintf ppf ", %d pivots" s.pivots;
   if s.presolve_fixed > 0 || s.presolve_dropped > 0 then
     Format.fprintf ppf ", presolve %d fixed / %d dropped" s.presolve_fixed
       s.presolve_dropped;
   (match s.best_bound with
   | Some b -> Format.fprintf ppf ", bound %g" b
   | None -> ());
-  if s.retries > 0 then Format.fprintf ppf ", %d retries" s.retries;
   Format.fprintf ppf ", %.3fs" s.elapsed
 
 let run_stats_to_json s =
@@ -639,7 +359,6 @@ let run_stats_to_json s =
       ("nodes", Archex_obs.Json.Num (float_of_int s.nodes));
       ("propagations", Archex_obs.Json.Num (float_of_int s.propagations));
       ("conflicts", Archex_obs.Json.Num (float_of_int s.conflicts));
-      ("pivots", Archex_obs.Json.Num (float_of_int s.pivots));
       ("presolve_fixed",
        Archex_obs.Json.Num (float_of_int s.presolve_fixed));
       ("presolve_dropped",
@@ -648,14 +367,12 @@ let run_stats_to_json s =
       ( "best_bound",
         match s.best_bound with
         | Some b -> Archex_obs.Json.Num b
-        | None -> Archex_obs.Json.Null );
-      ("retries", Archex_obs.Json.Num (float_of_int s.retries)) ]
+        | None -> Archex_obs.Json.Null ) ]
 
 let pp_outcome ppf = function
   | Optimal { objective; _ } ->
       Format.fprintf ppf "optimal (objective %g)" objective
   | Infeasible -> Format.fprintf ppf "infeasible"
-  | Unbounded -> Format.fprintf ppf "unbounded"
   | Limit_reached { incumbent = Some (c, _) } ->
       Format.fprintf ppf "limit reached (incumbent %g)" c
   | Limit_reached { incumbent = None } ->

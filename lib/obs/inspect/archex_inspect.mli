@@ -3,10 +3,11 @@
     Consumes the per-iteration [insight] records produced by
     [Ilp_mr.run ~inspect:true] (plain {!Archex_obs.Json} objects, so this
     library needs no dependency on the synthesis stack) and distills them
-    into the [archex inspect] report: which constraints actually prune,
-    which learned rows are dead weight, how effective each iteration's
-    oracle cuts are, and how redundant successive re-solves are — the
-    evidence base for an incremental, conflict-driven PB solver. *)
+    into the [archex inspect] report: which constraints take part in
+    conflicts, which learned rows are dead weight, how effective each
+    iteration's oracle cuts are, and how redundant successive re-solves
+    are — the evidence base for an incremental, conflict-driven PB
+    solver. *)
 
 type row = {
   id : int;            (** stable row id: insertion index in the model *)
@@ -15,8 +16,7 @@ type row = {
   born : int;          (** birth iteration; 0 = base encoding *)
   props : int;
   conflicts : int;
-  binding : int;
-  prunes : int;        (** counters summed across all iterations *)
+  binding : int;       (** counters summed across all iterations *)
 }
 
 type iteration_summary = {
@@ -47,9 +47,9 @@ val build : insights:Archex_obs.Json.t list -> t
     objects, or iterations without insight (replays), may simply be
     omitted from the list. *)
 
-val top_pruners : ?k:int -> t -> row list
-(** The [k] (default 10) most effective rows, ranked by prunes, then
-    conflicts, then propagations. *)
+val top_conflict_rows : ?k:int -> t -> row list
+(** The [k] (default 10) most effective rows, ranked by conflicts, then
+    binding, then propagations. *)
 
 val to_json : t -> Archex_obs.Json.t
 (** Machine-readable report: [{"iterations": [...], "rows": [...],
@@ -58,5 +58,5 @@ val to_json : t -> Archex_obs.Json.t
 
 val to_markdown : ?top_k:int -> t -> string
 (** Human-readable report: summary, redundancy timeline, top-[top_k]
-    (default 10) pruning rows, per-iteration learned-cut effectiveness,
+    (default 10) conflict rows, per-iteration learned-cut effectiveness,
     and the dead learned rows. *)

@@ -10,7 +10,7 @@
 
     Conventional names used across the synthesis stack:
     [pb.decisions], [pb.propagations], [pb.conflicts], [pb.learned],
-    [pb.restarts], [lp.pivots], [bb.nodes], [presolve.fixed],
+    [pb.restarts], [presolve.fixed],
     [presolve.dropped], [mr.iterations], [mr.constraints_learned],
     [rel.bdd_nodes], [rel.analyses]. *)
 

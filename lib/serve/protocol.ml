@@ -24,13 +24,6 @@ type job = {
 
 type request = Job of job | Ping | Stats | Shutdown
 
-let backend_of_name = function
-  | "pb" -> Some Milp.Solver.Pseudo_boolean
-  | "lp-bb" -> Some Milp.Solver.Lp_branch_bound
-  | "brute" -> Some Milp.Solver.Brute_force
-  | "portfolio" -> Some Milp.Solver.Portfolio
-  | _ -> None
-
 (* Field accessors over one request object; every failure renders a
    reason naming the field, so a bad-request event is actionable. *)
 let str_field j name =
@@ -64,9 +57,9 @@ let job_of_fields ~id j =
     match str_field j "backend" with
     | None -> Ok Milp.Solver.Pseudo_boolean
     | Some s -> (
-        match backend_of_name s with
-        | Some b -> Ok b
-        | None -> Error (Printf.sprintf "%s: unknown backend %S" what s))
+        match Milp.Solver.backend_of_name s with
+        | Ok b -> Ok b
+        | Error msg -> Error (Printf.sprintf "%s: \"backend\": %s" what msg))
   in
   let* deadline_s =
     match num_field j "deadline_s" with

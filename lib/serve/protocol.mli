@@ -11,7 +11,7 @@
       template (the paper's base template, or the scaling family when
       ["generators"] is given).  Fields: optional ["id"] (assigned when
       absent), ["r_star"] (default 2e-10), ["generators"],
-      ["backend"] (["pb"] / ["lp-bb"] / ["brute"] / ["portfolio"]),
+      ["backend"] (["pb"] / ["brute"]),
       ["deadline_s"], ["max_nodes"], ["bdd_limit"], ["jobs"].
     - [{"op":"analyze", ...}] — reliability of the template's {e full}
       candidate configuration (every candidate edge selected): the

@@ -1,9 +1,9 @@
 (* Tests for incremental (persistent-session) PB solving across ILP-MR
    iterations: the differential guarantee that an incremental run is
    bit-identical to a scratch run (architecture, cost, iteration count),
-   certificate chains from incremental runs, portfolio parity, and
-   checkpoint/resume in incremental mode; plus regression tests for the
-   reduce_db reason-pinning fix, per-invocation delta stats, the
+   certificate chains from incremental runs, and checkpoint/resume in
+   incremental mode; plus regression tests for the reduce_db
+   reason-pinning fix, per-invocation delta stats, the
    activity-preserving heap rebuild, and the presolve x session typed
    rejection. *)
 
@@ -41,8 +41,8 @@ let trace_of what = function
         (Archex.Synthesis.failure_reason_code reason)
 
 (* Total PB search effort of a whole run, probes included — the
-   [pb.conflicts] metric, which every solve (main search, feasibility
-   probe, core-guided step) accumulates into. *)
+   [pb.conflicts] metric, which every solve (main search and feasibility
+   probe) accumulates into. *)
 let run_conflicts f =
   let metrics = Archex_obs.Metrics.create () in
   let obs = Archex_obs.Ctx.make ~metrics () in
@@ -175,31 +175,6 @@ let test_incremental_cert_chain () =
       | Error e -> Alcotest.failf "chain check failed: %s" e
       | Ok s -> check_int "one cert per iteration" (List.length trace)
                   s.Cert.iterations)
-
-(* ------------------------------------------------------------------ *)
-(* Portfolio parity in incremental mode                                *)
-
-(* The portfolio's PB racer runs through the session while the LP and
-   core-guided racers solve from scratch; whoever wins, the answer must
-   equal the serial scratch answer — for every family size. *)
-let test_portfolio_parity_incremental () =
-  List.iter
-    (fun (g, r_star) ->
-      let t = (Eps.Eps_template.make ~generators:g).Eps.Eps_template.template
-      in
-      let scratch = Archex.Ilp_mr.run t ~r_star in
-      let inc =
-        Archex.Ilp_mr.run ~backend:Solver.Portfolio ~incremental:true t
-          ~r_star
-      in
-      let c, _, n, _ = arch_signature (Printf.sprintf "g%d scratch" g)
-                         scratch in
-      let c', _, n', _ =
-        arch_signature (Printf.sprintf "g%d portfolio+incremental" g) inc
-      in
-      checkf 0. (Printf.sprintf "g=%d cost identical" g) c c';
-      check_int (Printf.sprintf "g=%d iterations identical" g) n n')
-    [ (1, 1e-3); (2, 1e-4); (3, 1e-4) ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint / resume in incremental mode                             *)
@@ -387,31 +362,6 @@ let test_presolve_with_session_rejected () =
   | _ -> Alcotest.fail "expected optimal"
 
 (* ------------------------------------------------------------------ *)
-(* Core-guided backend                                                 *)
-
-let test_core_guided_matches_brute () =
-  let m, _ = session_model_base () in
-  let reference =
-    match Solver.solve ~backend:Solver.Brute_force ~presolve:false m with
-    | Solver.Optimal { objective; _ }, _ -> objective
-    | _ -> Alcotest.fail "brute force failed"
-  in
-  match Solver.solve ~backend:Solver.Core_guided m with
-  | Solver.Optimal { objective; solution }, _ ->
-      checkf 1e-9 "core-guided optimum" reference objective;
-      checkb "solution feasible" true
-        (Model.is_feasible m (fun x -> solution.(x)))
-  | _ -> Alcotest.fail "expected core-guided optimum"
-
-let test_core_guided_infeasible () =
-  let m = Model.create () in
-  let x = Model.bool_var m and y = Model.bool_var m in
-  Model.add_constraint m Lin_expr.(add (var x) (var y)) Model.Ge 3.;
-  match Solver.solve ~backend:Solver.Core_guided m with
-  | Solver.Infeasible, _ -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
@@ -423,7 +373,6 @@ let () =
             test_incremental_conflicts_not_worse;
           quick "certificate chain with session stamps"
             test_incremental_cert_chain;
-          quick "portfolio parity g=1,2,3" test_portfolio_parity_incremental;
           quick "checkpoint/resume incremental"
             test_checkpoint_resume_incremental ] );
       ( "session",
@@ -432,7 +381,4 @@ let () =
             test_presolve_with_session_rejected ] );
       ( "var_heap",
         [ quick "of_activities warm restore" test_var_heap_of_activities;
-          quick "rebuild after rescale" test_var_heap_rebuild ] );
-      ( "core_guided",
-        [ quick "matches brute force" test_core_guided_matches_brute;
-          quick "proves infeasibility" test_core_guided_infeasible ] ) ]
+          quick "rebuild after rescale" test_var_heap_rebuild ] ) ]

@@ -51,11 +51,11 @@ let small_template () =
 let num v = J.Num v
 let int v = J.Num (float_of_int v)
 
-let act ~row ~name ~kind ~born ~props ~conflicts ~binding ~prunes =
+let act ~row ~name ~kind ~born ~props ~conflicts ~binding =
   J.Obj
     [ ("row", int row); ("name", J.Str name); ("kind", J.Str kind);
       ("born", int born); ("props", int props); ("conflicts", int conflicts);
-      ("binding", int binding); ("prunes", int prunes) ]
+      ("binding", int binding) ]
 
 let insight_1 =
   J.Obj
@@ -66,9 +66,9 @@ let insight_1 =
       ( "activity",
         J.Arr
           [ act ~row:0 ~name:"req0" ~kind:"requirement" ~born:0 ~props:5
-              ~conflicts:1 ~binding:1 ~prunes:0;
+              ~conflicts:1 ~binding:1;
             act ~row:2 ~name:"row2" ~kind:"template" ~born:0 ~props:2
-              ~conflicts:0 ~binding:0 ~prunes:3 ] );
+              ~conflicts:1 ~binding:0 ] );
       (* learned rows 3 and 4 appear after this solve *)
       ("learned_names", J.Arr [ J.Str "cut_a"; J.Str "cut_b" ]) ]
 
@@ -81,10 +81,10 @@ let insight_2 =
       ( "activity",
         J.Arr
           [ act ~row:0 ~name:"req0" ~kind:"requirement" ~born:0 ~props:1
-              ~conflicts:0 ~binding:1 ~prunes:0;
+              ~conflicts:0 ~binding:1;
             (* learned row 3 fires; learned row 4 stays dead *)
             act ~row:3 ~name:"cut_a" ~kind:"learned" ~born:1 ~props:7
-              ~conflicts:2 ~binding:0 ~prunes:9 ] );
+              ~conflicts:11 ~binding:0 ] );
       ("learned_names", J.Arr []) ]
 
 let test_build_aggregates () =
@@ -116,15 +116,16 @@ let test_build_aggregates () =
   check_int "it2 learned activity" 18 it2.Inspect.learned_activity;
   check_int "it2 total activity" 20 it2.Inspect.total_activity
 
-let test_top_pruners_ranking () =
+let test_top_conflict_rows_ranking () =
   let rep = Inspect.build ~insights:[ insight_1; insight_2 ] in
-  (match Inspect.top_pruners ~k:2 rep with
+  (match Inspect.top_conflict_rows ~k:2 rep with
   | [ first; second ] ->
-      check_int "most pruning row first" 3 first.Inspect.id;
-      check_int "then row 2" 2 second.Inspect.id
+      check_int "most conflicting row first" 3 first.Inspect.id;
+      (* rows 0 and 2 tie on one conflict; binding breaks the tie *)
+      check_int "then the binding row 0" 0 second.Inspect.id
   | l -> Alcotest.failf "expected 2 rows, got %d" (List.length l));
   check_int "k caps the list" 1
-    (List.length (Inspect.top_pruners ~k:1 rep))
+    (List.length (Inspect.top_conflict_rows ~k:1 rep))
 
 let test_report_rendering () =
   let rep = Inspect.build ~insights:[ insight_1; insight_2 ] in
@@ -150,7 +151,7 @@ let test_report_rendering () =
     (fun needle ->
       checkb (Printf.sprintf "markdown mentions %S" needle) true
         (contains md needle))
-    [ "Redundancy timeline"; "Top pruning rows"; "Dead learned rows";
+    [ "Redundancy timeline"; "Top conflict rows"; "Dead learned rows";
       "cut_b"; "cut_a" ]
 
 let test_empty_report () =
@@ -276,8 +277,8 @@ let () =
         [
           Alcotest.test_case "aggregates across iterations" `Quick
             test_build_aggregates;
-          Alcotest.test_case "top pruners ranking" `Quick
-            test_top_pruners_ranking;
+          Alcotest.test_case "top conflict rows ranking" `Quick
+            test_top_conflict_rows_ranking;
           Alcotest.test_case "renders markdown and JSON" `Quick
             test_report_rendering;
           Alcotest.test_case "empty report is total" `Quick

@@ -104,20 +104,26 @@ let test_lp_format_roundtrip_on_eps_model () =
   checkb "constraint count positive" true
     (info.Archex.Ilp_ar.constraint_count > 0)
 
-let test_solver_backends_agree_on_eps_base () =
-  (* the base (connectivity-only) EPS ILP: PB and LP-BB find the same
-     optimal cost *)
-  let solve backend =
-    let inst = Eps.Eps_template.base () in
-    let enc = Archex.Gen_ilp.encode inst.Eps.Eps_template.template in
-    match Archex.Gen_ilp.solve ~backend enc with
-    | Some (_, cost, _) -> cost
-    | None -> Alcotest.fail "feasible"
-  in
-  Alcotest.(check (float 1e-6))
-    "pb = lp-bb"
-    (solve Milp.Solver.Pseudo_boolean)
-    (solve Milp.Solver.Lp_branch_bound)
+let test_pb_optimum_certified_on_eps_base () =
+  (* the base (connectivity-only) EPS ILP: the PB optimum is the known
+     13007, and the solver-independent checker accepts its certificate *)
+  let inst = Eps.Eps_template.base () in
+  let enc = Archex.Gen_ilp.encode inst.Eps.Eps_template.template in
+  match Archex.Gen_ilp.solve_raw enc with
+  | None -> Alcotest.fail "base EPS ILP reported infeasible"
+  | Some (solution, _, cost, _) -> (
+      Alcotest.(check (float 1e-6)) "optimal cost" 13007. cost;
+      match
+        Archex_cert.certify (Archex.Gen_ilp.model enc)
+          ~incumbent:(Some (cost, solution))
+      with
+      | Error e -> Alcotest.failf "certify: %s" e
+      | Ok cert -> (
+          match Archex_cert.check cert with
+          | Error e -> Alcotest.failf "certificate rejected: %s" e
+          | Ok summary ->
+              checkb "certified objective" true
+                (summary.Archex_cert.objective = Some cost)))
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
@@ -136,5 +142,5 @@ let () =
             test_mr_cost_not_above_ar_cost_plus_slack;
           quick "LP-format export of the AR model"
             test_lp_format_roundtrip_on_eps_model;
-          slow "solver backends agree on the base EPS"
-            test_solver_backends_agree_on_eps_base ] ) ]
+          slow "pb optimum on the base EPS is certified"
+            test_pb_optimum_certified_on_eps_base ] ) ]

@@ -1,11 +1,10 @@
 (* Unit and property tests for the MILP substrate: expressions, model,
-   logical encodings, simplex, and cross-validation of the three exact 0-1
-   backends against each other. *)
+   logical encodings, and cross-validation of the PB solver against brute
+   force. *)
 
 module Lin_expr = Milp.Lin_expr
 module Model = Milp.Model
 module Bool_encode = Milp.Bool_encode
-module Simplex = Milp.Simplex
 module Solver = Milp.Solver
 
 let checkb = Alcotest.(check bool)
@@ -227,70 +226,6 @@ let test_indicators () =
   checkb "z=1, x=8 violated" false (Model.is_feasible m (value2 8. 1.))
 
 (* ------------------------------------------------------------------ *)
-(* Simplex                                                             *)
-
-let test_simplex_textbook () =
-  (* max 3x + 2y st x + y ≤ 4, x + 3y ≤ 6 → (4, 0), value 12 *)
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Continuous (0., infinity)) in
-  let y = Model.add_var m (Model.Continuous (0., infinity)) in
-  Model.add_constraint m Lin_expr.(add (var x) (var y)) Model.Le 4.;
-  Model.add_constraint m Lin_expr.(add (var x) (var ~coef:3. y)) Model.Le 6.;
-  Model.set_objective m
-    Lin_expr.(add (var ~coef:(-3.) x) (var ~coef:(-2.) y));
-  match Simplex.solve_relaxation m with
-  | Simplex.Optimal { objective; solution; _ } ->
-      checkf "objective" (-12.) objective;
-      checkf "x" 4. solution.(x);
-      checkf "y" 0. solution.(y)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_simplex_equality_and_ge () =
-  (* min x + y st x + y = 3, x ≥ 1 → value 3 *)
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Continuous (0., 10.)) in
-  let y = Model.add_var m (Model.Continuous (0., 10.)) in
-  Model.add_constraint m Lin_expr.(add (var x) (var y)) Model.Eq 3.;
-  Model.add_constraint m (Lin_expr.var x) Model.Ge 1.;
-  Model.set_objective m Lin_expr.(add (var x) (var y));
-  match Simplex.solve_relaxation m with
-  | Simplex.Optimal { objective; solution; _ } ->
-      checkf "objective" 3. objective;
-      checkb "x within bounds" true (solution.(x) >= 1. -. 1e-9)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_simplex_infeasible () =
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Continuous (0., 1.)) in
-  Model.add_constraint m (Lin_expr.var x) Model.Ge 2.;
-  match Simplex.solve_relaxation m with
-  | Simplex.Infeasible -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let test_simplex_unbounded () =
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Continuous (0., infinity)) in
-  Model.set_objective m (Lin_expr.var ~coef:(-1.) x);
-  match Simplex.solve_relaxation m with
-  | Simplex.Unbounded -> ()
-  | _ -> Alcotest.fail "expected unbounded"
-
-let test_simplex_shifted_bounds () =
-  (* min x st x ∈ [2, 7] → 2; max → 7 *)
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Continuous (2., 7.)) in
-  Model.set_objective m (Lin_expr.var x);
-  (match Simplex.solve_relaxation m with
-  | Simplex.Optimal { objective; _ } -> checkf "min" 2. objective
-  | _ -> Alcotest.fail "expected optimal");
-  Model.set_objective m (Lin_expr.var ~coef:(-1.) x);
-  match Simplex.solve_relaxation m with
-  | Simplex.Optimal { objective; solution; _ } ->
-      checkf "max obj" (-7.) objective;
-      checkf "x at ub" 7. solution.(x)
-  | _ -> Alcotest.fail "expected optimal"
-
-(* ------------------------------------------------------------------ *)
 (* Backend cross-validation                                            *)
 
 (* Random pure-boolean models with mixed-sign coefficients. *)
@@ -372,8 +307,7 @@ let prop_optimal_solution_is_feasible =
           && Float.abs (Model.objective_value m (fun x -> solution.(x))
                         -. objective)
              < 1e-6
-      | (Solver.Infeasible | Solver.Unbounded | Solver.Limit_reached _), _ ->
-          true)
+      | (Solver.Infeasible | Solver.Limit_reached _), _ -> true)
 
 (* Wider PB-vs-brute models: up to 12 variables, rows dominated by
    clauses and cardinality constraints (the shape of learned clauses and
@@ -648,7 +582,32 @@ let test_time_limit_returns () =
   match Solver.solve ~max_nodes:50 m with
   | Solver.Limit_reached _, _ | Solver.Optimal _, _ | Solver.Infeasible, _ ->
       ()
-  | Solver.Unbounded, _ -> Alcotest.fail "boolean model cannot be unbounded"
+
+(* The solver takes pure 0-1 models only: an integer variable is typed
+   bad input, raised before any search (and by session construction). *)
+let test_mixed_model_rejected () =
+  let m = Model.create () in
+  let x = Model.bool_var m in
+  let n = Model.add_var m (Model.Integer (0, 3)) in
+  Model.add_constraint m Lin_expr.(add (var x) (var n)) Model.Ge 1.;
+  Model.set_objective m Lin_expr.(add (var x) (var n));
+  let rejected f =
+    match f () with
+    | _ -> false
+    | exception
+        Archex_resilience.Error.E (Archex_resilience.Error.Invalid_input _)
+      ->
+        true
+  in
+  List.iter
+    (fun backend ->
+      checkb
+        (Solver.backend_name backend ^ " rejects a mixed model")
+        true
+        (rejected (fun () -> ignore (Solver.solve ~backend m))))
+    [ Solver.Pseudo_boolean; Solver.Brute_force ];
+  checkb "a session over a mixed model is rejected" true
+    (rejected (fun () -> ignore (Solver.make_session m)))
 
 (* ------------------------------------------------------------------ *)
 (* Objective lower bound                                               *)
@@ -900,15 +859,8 @@ let () =
           quick "implication" test_implication_encodings;
           quick "cardinality" test_cardinality;
           quick "big-M indicators" test_indicators ] );
-      ( "simplex",
-        [ quick "textbook LP" test_simplex_textbook;
-          quick "equality and >= rows" test_simplex_equality_and_ge;
-          quick "infeasible" test_simplex_infeasible;
-          quick "unbounded" test_simplex_unbounded;
-          quick "shifted bounds" test_simplex_shifted_bounds ] );
       ( "backends",
         [ prop (prop_backends_agree Solver.Pseudo_boolean);
-          prop (prop_backends_agree Solver.Lp_branch_bound);
           prop prop_optimal_solution_is_feasible;
           prop prop_pb_wide_matches_brute;
           prop prop_pb_session_resolve_matches_scratch;
@@ -919,7 +871,8 @@ let () =
           quick "negative objective coefficients"
             test_negative_objective_coefficients;
           quick "equality rows propagate" test_equality_row_propagation;
-          quick "node limit returns" test_time_limit_returns ] );
+          quick "node limit returns" test_time_limit_returns;
+          quick "mixed model rejected" test_mixed_model_rejected ] );
       ( "obj_bound",
         [ prop prop_obj_bound_is_valid;
           quick "packs disjoint rows" test_obj_bound_packs_disjoint_rows;

@@ -1,20 +1,14 @@
-(* Tests for the parallel execution layer: the domain pool, cancellation
-   tokens and the shared incumbent cell; determinism of sharded
-   Monte-Carlo and parallel reliability analysis across job counts; the
-   portfolio solver against the serial backends (including a seeded
-   differential fuzzer); and regression tests for the branch-floor,
+(* Tests for the parallel execution layer: the domain pool and
+   cancellation tokens; determinism of sharded Monte-Carlo and parallel
+   reliability analysis across job counts; and regression tests for the
    BDD cache accounting and checkpoint durability fixes. *)
 
 module Pool = Archex_parallel.Pool
 module Cancel = Archex_parallel.Cancel
-module Shared_best = Archex_parallel.Shared_best
 module Digraph = Netgraph.Digraph
 module Bdd = Reliability.Bdd
 module Fail_model = Reliability.Fail_model
 module Monte_carlo = Reliability.Monte_carlo
-module Lin_expr = Milp.Lin_expr
-module Model = Milp.Model
-module Solver = Milp.Solver
 module Library = Archlib.Library
 module Template = Archlib.Template
 
@@ -144,50 +138,6 @@ let test_cancel_guard () =
   checkb "guard false" false (stop ());
   Cancel.cancel t;
   checkb "guard true" true (stop ())
-
-(* ------------------------------------------------------------------ *)
-(* Shared_best                                                         *)
-
-let test_shared_best_publish () =
-  let cell = Shared_best.create () in
-  checkb "empty" true (Shared_best.get cell = None);
-  checkb "first publish wins" true (Shared_best.publish cell 10. [| 1. |]);
-  checkb "improvement wins" true (Shared_best.publish cell 5. [| 0. |]);
-  checkb "worse rejected" false (Shared_best.publish cell 7. [| 1. |]);
-  checkb "tie rejected" false (Shared_best.publish cell 5. [| 1. |]);
-  (match Shared_best.get cell with
-  | Some (c, sol) ->
-      checkf 0. "best cost" 5. c;
-      checkf 0. "best solution" 0. sol.(0)
-  | None -> Alcotest.fail "cell lost its incumbent");
-  checkb "best_cost" true (Shared_best.best_cost cell = Some 5.)
-
-let test_shared_best_tolerance () =
-  let cell = Shared_best.create () in
-  ignore (Shared_best.publish cell 100. [||]);
-  checkb "within relative tolerance rejected" false
-    (Shared_best.publish cell (100. -. 1e-8) [||]);
-  checkb "beyond tolerance accepted" true
-    (Shared_best.publish cell (100. -. 1e-6) [||])
-
-let test_shared_best_concurrent_publish () =
-  (* many racers publishing decreasing costs: the cell must end at the
-     global minimum whatever the interleaving *)
-  let cell = Shared_best.create () in
-  Pool.with_pool ~jobs:4 @@ fun p ->
-  let _ =
-    Pool.map p
-      (fun k ->
-        for i = 100 downto 1 do
-          ignore
-            (Shared_best.publish cell
-               (float_of_int (i + k))
-               [| float_of_int k |])
-        done)
-      (List.init 8 Fun.id)
-  in
-  checkb "converged to global min" true
-    (Shared_best.best_cost cell = Some 1.)
 
 (* ------------------------------------------------------------------ *)
 (* Thread-safe plumbing: metrics and budgets under concurrent charge   *)
@@ -349,177 +299,6 @@ let test_rel_analysis_jobs_parity () =
     [ 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Portfolio backend                                                   *)
-
-let outcomes_agree o1 o2 =
-  match (o1, o2) with
-  | Solver.Optimal { objective = a; _ }, Solver.Optimal { objective = b; _ }
-    ->
-      Float.abs (a -. b) < 1e-6
-  | Solver.Infeasible, Solver.Infeasible -> true
-  | _ -> false
-
-let test_portfolio_simple_optimum () =
-  let m = Model.create () in
-  let xs = Model.bool_vars m 4 in
-  Model.add_constraint m
-    (Lin_expr.sum (Array.to_list (Array.map Lin_expr.var xs)))
-    Model.Ge 2.;
-  Model.set_objective m
-    (Lin_expr.of_terms [ (xs.(0), 3.); (xs.(1), 1.); (xs.(2), 2.);
-                         (xs.(3), 5.) ]);
-  match Solver.solve ~backend:Solver.Portfolio m with
-  | Solver.Optimal { objective; solution }, stats ->
-      checkf 1e-9 "portfolio optimum" 3. objective;
-      checkb "solution feasible" true
-        (Model.is_feasible m (fun x -> solution.(x)));
-      checkb "bound closed" true
-        (match stats.Solver.best_bound with
-        | Some b -> Float.abs (b -. 3.) < 1e-6
-        | None -> false)
-  | _ -> Alcotest.fail "expected portfolio optimum"
-
-let test_portfolio_infeasible () =
-  let m = Model.create () in
-  let x = Model.bool_var m and y = Model.bool_var m in
-  Model.add_constraint m Lin_expr.(add (var x) (var y)) Model.Ge 3.;
-  match Solver.solve ~backend:Solver.Portfolio m with
-  | Solver.Infeasible, _ -> ()
-  | _ -> Alcotest.fail "expected infeasible"
-
-let test_portfolio_mixed_model_falls_through () =
-  (* a continuous variable: not pure 0-1, so the portfolio runs the LP
-     branch-and-bound alone — and must still be exact *)
-  let m = Model.create () in
-  let x = Model.bool_var m in
-  let y = Model.add_var m (Model.Continuous (0., 10.)) in
-  Model.add_constraint m Lin_expr.(add (var x) (var y)) Model.Ge 2.5;
-  Model.set_objective m
-    Lin_expr.(add (var ~coef:10. x) (var ~coef:1. y));
-  match Solver.solve ~backend:Solver.Portfolio m with
-  | Solver.Optimal { objective; _ }, _ ->
-      (* y = 2.5, x = 0 beats x = 1, y = 1.5 *)
-      checkf 1e-6 "mixed optimum" 2.5 objective
-  | _ -> Alcotest.fail "expected optimal"
-
-(* Seeded differential fuzzer: random small 0-1 models solved by every
-   backend, all verdicts and objectives must coincide with brute force —
-   including near-degenerate objectives (zero rows, ties) and infeasible
-   systems. *)
-let arb_bool_model =
-  let gen =
-    QCheck.Gen.(
-      let* nvars = int_range 1 7 in
-      let* nrows = int_range 0 6 in
-      let* rows =
-        list_repeat nrows
-          (let* terms =
-             list_size (int_range 1 4)
-               (pair (int_range 0 (nvars - 1)) (int_range (-4) 4))
-           in
-           let* cmp = oneofl [ Model.Le; Model.Ge ] in
-           let* rhs = int_range (-3) 5 in
-           return (terms, cmp, rhs))
-      in
-      let* obj =
-        list_size (int_range 0 nvars)
-          (pair (int_range 0 (nvars - 1)) (int_range (-5) 9))
-      in
-      return (nvars, rows, obj))
-  in
-  let print (nvars, rows, obj) =
-    Printf.sprintf "nvars=%d rows=%s obj=%s" nvars
-      (String.concat ";"
-         (List.map
-            (fun (terms, cmp, rhs) ->
-              Printf.sprintf "%s %s %d"
-                (String.concat "+"
-                   (List.map
-                      (fun (x, c) -> Printf.sprintf "%dx%d" c x)
-                      terms))
-                (match cmp with
-                | Model.Le -> "<="
-                | Model.Ge -> ">="
-                | Model.Eq -> "=")
-                rhs)
-            rows))
-      (String.concat ","
-         (List.map (fun (x, c) -> Printf.sprintf "%d:%d" x c) obj))
-  in
-  QCheck.make gen ~print
-
-let build_model (nvars, rows, obj) =
-  let m = Model.create () in
-  let _ = Model.bool_vars m nvars in
-  List.iter
-    (fun (terms, cmp, rhs) ->
-      Model.add_constraint m
-        (Lin_expr.of_terms
-           (List.map (fun (x, c) -> (x, float_of_int c)) terms))
-        cmp (float_of_int rhs))
-    rows;
-  Model.set_objective m
-    (Lin_expr.of_terms (List.map (fun (x, c) -> (x, float_of_int c)) obj));
-  m
-
-let prop_differential_all_backends =
-  QCheck.Test.make ~name:"pb = lp-bb = portfolio = brute (fuzzed)"
-    ~count:120 arb_bool_model (fun spec ->
-      let reference, _ =
-        Solver.solve ~backend:Solver.Brute_force ~presolve:false
-          (build_model spec)
-      in
-      List.for_all
-        (fun backend ->
-          let tested, _ = Solver.solve ~backend (build_model spec) in
-          outcomes_agree reference tested)
-        [ Solver.Pseudo_boolean; Solver.Lp_branch_bound;
-          Solver.Portfolio ])
-
-(* ------------------------------------------------------------------ *)
-(* Regression: branch-floor integrality tolerance (lp_bb)              *)
-
-let test_lpbb_branch_just_below_integer () =
-  (* minimize x, integer, with the LP relaxation optimum a hair below 3:
-     the search must land on x = 3, branching at (2, 3) — never (1, 2) *)
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Integer (0, 10)) in
-  Model.add_constraint m (Lin_expr.var ~coef:3. x) Model.Ge 8.999991;
-  Model.set_objective m (Lin_expr.var x);
-  match Milp.Lp_bb.solve m with
-  | Milp.Lp_bb.Optimal { objective; solution }, stats ->
-      checkf 1e-5 "objective 3" 3. objective;
-      checkf 1e-9 "integral solution" 3. (Float.round solution.(x));
-      (* branching at (2, 3) resolves in a handful of nodes; a floor bug
-         that branches below the relaxation value loops far past this *)
-      checkb "few nodes" true (stats.Milp.Lp_bb.nodes <= 8)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_lpbb_within_tolerance_rounds () =
-  (* relaxation optimum within int_tol of an integer: accepted as
-     integral and rounded — not branched at the floor below *)
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Integer (0, 10)) in
-  Model.add_constraint m (Lin_expr.var ~coef:3. x) Model.Ge 8.9999991;
-  Model.set_objective m (Lin_expr.var x);
-  match Milp.Lp_bb.solve m with
-  | Milp.Lp_bb.Optimal { objective; solution }, _ ->
-      checkf 1e-5 "objective 3" 3. objective;
-      checkf 0. "solution snapped to 3" 3. solution.(x)
-  | _ -> Alcotest.fail "expected optimal"
-
-let test_lpbb_negative_integer_branching () =
-  (* negative fractional relaxation values: floor must go toward -inf *)
-  let m = Model.create () in
-  let x = Model.add_var m (Model.Integer (-10, 10)) in
-  Model.add_constraint m (Lin_expr.var ~coef:2. x) Model.Ge (-5.);
-  Model.set_objective m (Lin_expr.var x);
-  match Milp.Lp_bb.solve m with
-  | Milp.Lp_bb.Optimal { objective; _ }, _ ->
-      checkf 1e-6 "objective -2" (-2.) objective
-  | _ -> Alcotest.fail "expected optimal"
-
-(* ------------------------------------------------------------------ *)
 (* Regression: BDD ite-cache accounting                                *)
 
 let test_bdd_cache_counted () =
@@ -643,7 +422,6 @@ let test_checkpoint_missing_is_typed () =
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
-  let prop t = QCheck_alcotest.to_alcotest t in
   Alcotest.run "parallel"
     [ ( "pool",
         [ quick "map preserves order" test_pool_map_order;
@@ -660,11 +438,6 @@ let () =
           quick "child isolated from parent"
             test_cancel_child_does_not_cancel_parent;
           quick "guard" test_cancel_guard ] );
-      ( "shared_best",
-        [ quick "publish keeps minimum" test_shared_best_publish;
-          quick "relative tolerance" test_shared_best_tolerance;
-          quick "concurrent publishers" test_shared_best_concurrent_publish
-        ] );
       ( "plumbing",
         [ quick "metrics atomic adds" test_metrics_concurrent_add;
           quick "budget atomic charges" test_budget_concurrent_charge ] );
@@ -676,19 +449,6 @@ let () =
           quick "sub-shard trial counts" test_mc_small_trials ] );
       ( "rel_analysis",
         [ quick "jobs parity" test_rel_analysis_jobs_parity ] );
-      ( "portfolio",
-        [ quick "simple optimum" test_portfolio_simple_optimum;
-          quick "infeasible" test_portfolio_infeasible;
-          quick "mixed model falls through"
-            test_portfolio_mixed_model_falls_through;
-          prop prop_differential_all_backends ] );
-      ( "regression_lp_bb",
-        [ quick "branch just below integer"
-            test_lpbb_branch_just_below_integer;
-          quick "within tolerance rounds"
-            test_lpbb_within_tolerance_rounds;
-          quick "negative integer branching"
-            test_lpbb_negative_integer_branching ] );
       ( "regression_bdd",
         [ quick "cache entries accounted" test_bdd_cache_counted;
           quick "cache growth bounded" test_bdd_cache_growth_bounded;

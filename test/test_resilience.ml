@@ -322,23 +322,6 @@ let test_solver_limit_keeps_bound_pb () =
       Alcotest.fail "1-node PB solve should not close the search"
   | _ -> Alcotest.fail "unexpected outcome"
 
-let test_solver_limit_keeps_bound_lp () =
-  let t = small_template () in
-  let enc = Archex.Gen_ilp.encode t in
-  match
-    Milp.Solver.solve ~backend:Milp.Solver.Lp_branch_bound ~max_nodes:2
-      ~presolve:false (Archex.Gen_ilp.model enc)
-  with
-  | Milp.Solver.Limit_reached _, stats -> (
-      match stats.Milp.Solver.best_bound with
-      | Some b ->
-          checkb "frontier bound survives" true (Float.is_finite b);
-          checkb "bound below the optimum" true (b <= 29. +. 1e-9)
-      | None -> Alcotest.fail "limit-hit LP solve lost its frontier bound")
-  | Milp.Solver.Optimal _, _ ->
-      Alcotest.fail "2-node B&B should not close the search"
-  | _ -> Alcotest.fail "unexpected outcome"
-
 let test_gen_ilp_types_the_outcomes () =
   let t = small_template () in
   let enc = Archex.Gen_ilp.encode t in
@@ -522,6 +505,31 @@ let test_resumed_run_certifies () =
   | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "resumed run unfeasible");
   Sys.remove path
 
+(* A checkpoint written by a build that had other backends names one
+   this build cannot run: resuming it is typed bad input naming the
+   backend, never a silent switch to the default. *)
+let test_resume_rejects_removed_backend () =
+  List.iter
+    (fun name ->
+      let ck =
+        { Archex.Checkpoint.r_star = 0.05;
+          strategy = Some "estimated";
+          backend = Some name;
+          iterations = [] }
+      in
+      match Archex.Ilp_mr.resume (small_template ()) ~from:ck with
+      | exception Error.E (Error.Invalid_input msgs) ->
+          checkb
+            (Printf.sprintf "error names %S" name)
+            true
+            (List.exists
+               (fun m -> contains m (Printf.sprintf "%S" name))
+               msgs)
+      | exception e ->
+          Alcotest.failf "%s: untyped failure %s" name (Printexc.to_string e)
+      | _ -> Alcotest.failf "checkpoint with backend %S resumed" name)
+    [ "lp-bb"; "core-guided"; "portfolio" ]
+
 let test_budget_exhausted_reports_bound () =
   let t = small_template () in
   (* the first iteration solves, then the injected solver fault exhausts
@@ -579,8 +587,6 @@ let () =
             test_exhaustion_is_not_infeasibility;
           Alcotest.test_case "PB keeps bound at limit" `Quick
             test_solver_limit_keeps_bound_pb;
-          Alcotest.test_case "LP-BB keeps bound at limit" `Quick
-            test_solver_limit_keeps_bound_lp;
           Alcotest.test_case "Gen_ilp types the outcomes" `Quick
             test_gen_ilp_types_the_outcomes ] );
       ( "fault-matrix",
@@ -595,4 +601,6 @@ let () =
           Alcotest.test_case "resumed run certifies" `Quick
             test_resumed_run_certifies;
           Alcotest.test_case "exhaustion reports the proven bound" `Quick
-            test_budget_exhausted_reports_bound ] ) ]
+            test_budget_exhausted_reports_bound;
+          Alcotest.test_case "removed backend rejected on resume" `Quick
+            test_resume_rejects_removed_backend ] ) ]

@@ -145,14 +145,13 @@ let test_protocol_roundtrip () =
       checkb "job survives a json round-trip (journal storage)" true
         (j = j')
 
+let mentions needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let test_protocol_parse_errors () =
   let parse line = Protocol.parse_request ~assign_id:(fun () -> "x") line in
-  let mentions needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1))
-    in
-    go 0
-  in
   (match parse {|{"op":"mr","r_star":1.5}|} with
   | Error msg -> checkb "error names r_star" true (mentions "r_star" msg)
   | Ok _ -> Alcotest.fail "r_star outside (0,1) must be rejected");
@@ -491,6 +490,49 @@ let test_serve_matches_direct_run () =
       checkf 0.0 "identical reliability" direct.Archex.Synthesis.reliability
         (num "reliability")
 
+(* Backends that no longer exist are refused at the protocol boundary:
+   each request gets a bad-request rejection naming the field and the
+   value, and no job is run. *)
+let test_serve_rejects_removed_backends () =
+  Server.reset_drain ();
+  let dir = fresh_dir "removed-backends" in
+  let names = [ "lp-bb"; "core-guided"; "portfolio" ] in
+  let rd, wr = Unix.pipe () in
+  let oc_req = Unix.out_channel_of_descr wr in
+  List.iter
+    (fun b ->
+      output_string oc_req
+        (Printf.sprintf "{\"op\":\"mr\",\"id\":%S,\"backend\":%S}\n" b b))
+    names;
+  output_string oc_req "{\"op\":\"shutdown\"}\n";
+  close_out oc_req;
+  let out_path = Filename.concat dir "events.ndjson" in
+  let oc = open_out out_path in
+  let code =
+    Server.serve_pipe ~config:{ Engine.default_config with pool_jobs = 1 }
+      ~dir
+      (Unix.in_channel_of_descr rd)
+      oc
+  in
+  close_out oc;
+  check_int "clean shutdown" 0 code;
+  let events = events_of_lines out_path in
+  List.iter
+    (fun b ->
+      let rejected =
+        List.exists
+          (fun ev ->
+            match (J.mem "ev" ev, J.mem "reason" ev, J.mem "detail" ev) with
+            | Some (J.Str "rejected"), Some (J.Str "bad-request"),
+              Some (J.Str d) ->
+                mentions "\"backend\"" d && mentions (Printf.sprintf "%S" b) d
+            | _ -> false)
+          events
+      in
+      checkb (b ^ " is rejected naming the backend field") true rejected;
+      checkb (b ^ " never runs") true (find_done b events = None))
+    names
+
 (* The pressure ladder end to end: an injected overload degrades the
    admission, which caps the BDD oracle, which forces the verdict off
    the exact rung — and the response says so. *)
@@ -580,4 +622,6 @@ let () =
         [ Alcotest.test_case "serve matches a direct run" `Quick
             test_serve_matches_direct_run;
           Alcotest.test_case "degraded admission degrades the verdict"
-            `Quick test_serve_degraded_verdict ] ) ]
+            `Quick test_serve_degraded_verdict;
+          Alcotest.test_case "removed backends are rejected" `Quick
+            test_serve_rejects_removed_backends ] ) ]
