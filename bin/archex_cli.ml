@@ -331,9 +331,8 @@ let model_hash_of template =
    and scheduler-state gauges (heap words, queue depth at exit, …) are
    noise between runs, so only solver-shaped families are kept. *)
 let series_prefixes =
-  [ "mr."; "ar."; "solve."; "solver."; "pb."; "rel.";
-    "presolve."; "progress."; "pool.jobs_"; "gc.pause";
-    "serve." ]
+  [ "mr."; "ar."; "solve."; "solver."; "pb."; "rel."; "progress.";
+    "pool.jobs_"; "gc.pause"; "serve." ]
 
 let series_of_metrics metrics =
   match Archex_obs.Metrics.to_json metrics with

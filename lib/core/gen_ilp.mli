@@ -69,7 +69,7 @@ val solve_checked :
     hazard of the raw interface).  [budget] is forwarded to
     {!Milp.Solver.solve}, which clamps the call under the global
     allowance and charges the nodes it spends.  [rows] forwards per-row
-    activity tracking (see {!Milp.Solver.solve}; it disables presolve).
+    activity tracking (see {!Milp.Solver.solve}).
     [session] / [lower_bound] forward incremental solving — a session made
     over this encoding's {!model} resumes search across MR iterations, and
     the previous iteration's proven bound seeds the next solve. *)

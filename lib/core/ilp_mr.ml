@@ -36,8 +36,6 @@ let replay_stats backend =
     nodes = 0;
     propagations = 0;
     conflicts = 0;
-    presolve_fixed = 0;
-    presolve_dropped = 0;
     elapsed = 0.;
     best_bound = None }
 

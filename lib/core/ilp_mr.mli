@@ -143,10 +143,9 @@ val run :
 
     [inspect] (default false; zero cost when off) turns on
     search-effectiveness inspection: every [SOLVEILP] call runs with a
-    fresh {!Milp.Row_stats} activity table (which disables presolve, so
-    row ids stay stable) and a decision-capturing search-log shim, and
-    each recorded iteration carries an [insight] record (see
-    {!type:iteration}).  The per-iteration redundancy ratio and the
+    fresh {!Milp.Row_stats} activity table and a decision-capturing
+    search-log shim, and each recorded iteration carries an [insight]
+    record (see {!type:iteration}).  The per-iteration redundancy ratio and the
     running warm-start-potential score are also published as
     [mr.redundancy_ratio] / [mr.warm_start_potential] gauges, which the
     CLI records into the run registry for [archex trend]. *)

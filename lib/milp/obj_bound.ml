@@ -74,7 +74,7 @@ let lower_bound m =
     (Lin_expr.terms obj_expr);
   Lin_expr.constant obj_expr +. !packed +. !rest
 
-let strengthen m =
+let nontrivial m =
   let bound = lower_bound m in
   if not (Float.is_finite bound) then None
   else begin
@@ -88,10 +88,5 @@ let strengthen m =
         (Lin_expr.constant obj_expr)
         (Lin_expr.terms obj_expr)
     in
-    if bound > trivial +. 1e-9 then begin
-      Model.add_constraint ~name:"objective_lower_bound" m obj_expr Model.Ge
-        (bound -. Lin_expr.constant obj_expr);
-      Some bound
-    end
-    else None
+    if bound > trivial +. 1e-9 then Some bound else None
   end

@@ -14,8 +14,8 @@ val lower_bound : Model.t -> float
     rows plus sorting.  Returns [neg_infinity] when no useful rows exist
     and some variable has an infinite contribution. *)
 
-val strengthen : Model.t -> float option
-(** Compute the bound and, when it exceeds the trivial bound
-    [Σ min(0, cᵢ) + const], add the implied row [obj ≥ bound] to the model
-    and return it.  The optimum is unchanged (the row is implied), but
-    branch-and-bound solvers can now prune by propagation. *)
+val nontrivial : Model.t -> float option
+(** {!lower_bound} when it exceeds the trivial bound
+    [Σ min(0, cᵢ) + const], else [None].  The model is not modified: the
+    solver passes the bound to the search rather than adding it as a
+    row. *)

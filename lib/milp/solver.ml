@@ -44,8 +44,6 @@ type run_stats = {
   nodes : int;
   propagations : int;
   conflicts : int;
-  presolve_fixed : int;
-  presolve_dropped : int;
   elapsed : float;
   best_bound : float option;
 }
@@ -54,8 +52,8 @@ let solution_value solution x = solution.(x) >= 0.5
 
 let now () = Archex_obs.Clock.now ()
 
-let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
-    ?time_limit ?should_stop ?session ?(lower_bound = neg_infinity) m =
+let solve_untraced ~obs ~on_event ~backend ?rows ?max_nodes ?time_limit
+    ?should_stop ?session ?(lower_bound = neg_infinity) m =
   let t0 = now () in
   let metrics = Archex_obs.Ctx.metrics obs in
   let log = Archex_obs.Ctx.search_log obs in
@@ -73,144 +71,131 @@ let solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
       ("vars", J.Num (float_of_int (Model.var_count m)));
       ("rows", J.Num (float_of_int (Model.constraint_count m))) ];
   let phase name = slog [ ("ev", J.Str "phase"); ("name", J.Str name) ] in
-  let pre =
-    if presolve then Presolve.run ~obs m
-    else { Presolve.model = m; fixed = []; dropped_rows = 0;
-           infeasible = false }
-  in
   let empty_stats =
     { backend;
       nodes = 0;
       propagations = 0;
       conflicts = 0;
-      presolve_fixed = List.length pre.Presolve.fixed;
-      presolve_dropped = pre.Presolve.dropped_rows;
       elapsed = 0.;
       best_bound = None }
   in
+  (* implied objective lower bound: lets the search close optimality
+     proofs that propagation alone cannot (see Obj_bound).  The caller's
+     bound (e.g. the previous MR iteration's proven bound in incremental
+     mode — rows only ever tighten the model, so it stays valid) is maxed
+     in. *)
+  let lower_bound =
+    match Obj_bound.nontrivial m with
+    | Some b -> Float.max b lower_bound
+    | None -> lower_bound
+  in
+  let of_pb = function
+    | Pb_solver.Optimal { objective; solution } ->
+        Optimal { objective; solution }
+    | Pb_solver.Infeasible -> Infeasible
+    | Pb_solver.Limit_reached { incumbent } -> Limit_reached { incumbent }
+  in
+  let pb_stats (s : Pb_solver.stats) =
+    { empty_stats with
+      nodes = s.decisions;
+      propagations = s.propagations;
+      conflicts = s.conflicts;
+      best_bound = s.bound }
+  in
   let outcome, stats =
-    if pre.Presolve.infeasible then (Infeasible, empty_stats)
-    else begin
-      let m' =
-        if presolve then pre.Presolve.model else Model.copy m
-      in
-      (* implied objective lower bound: lets branch-and-bound close
-         optimality proofs that propagation alone cannot (see Obj_bound).
-         The caller's bound (e.g. the previous MR iteration's proven bound
-         in incremental mode — rows only ever tighten the model, so it
-         stays valid) is maxed in. *)
-      let lower_bound =
-        match Obj_bound.strengthen m' with
-        | Some b -> Float.max b lower_bound
-        | None -> lower_bound
-      in
-      let of_pb = function
-        | Pb_solver.Optimal { objective; solution } ->
-            Optimal { objective; solution }
-        | Pb_solver.Infeasible -> Infeasible
-        | Pb_solver.Limit_reached { incumbent } -> Limit_reached { incumbent }
-      in
-      let pb_stats (s : Pb_solver.stats) =
-        { empty_stats with
-          nodes = s.decisions;
-          propagations = s.propagations;
-          conflicts = s.conflicts;
-          best_bound = s.bound }
-      in
-      match (backend, session) with
-      | Brute_force, _ ->
-          let outcome =
-            match Brute.solve m' with
-            | Brute.Optimal { objective; solution } ->
-                Optimal { objective; solution }
-            | Brute.Infeasible -> Infeasible
-          in
-          (outcome, empty_stats)
-      | Pseudo_boolean, Some ps ->
-          (* Incremental path: solve through the persistent session (which
-             captured [m] itself; [m'] above only contributed the
-             strengthened bound).  No optimistic probe here — the session's
-             warm-started phases make the main search's first descent
-             reconstruct the bound witness when one still exists, and the
-             lower-bound optimality shortcut then closes the solve just as
-             fast; a probe could only duplicate that or burn half the
-             budget refuting a stale cap. *)
-          phase "main";
-          let o, s =
-            Pb_solver.Session.solve ~metrics ?on_event ?log ?rows
-              ?max_decisions:max_nodes ?time_limit ~lower_bound
-              ?should_stop ps
-          in
-          (of_pb o, pb_stats s)
-      | Pseudo_boolean, None ->
-          (* Optimistic probe: when the combinatorial bound exists, first try
-             pure feasibility at cost ≤ bound — success is a proven optimum
-             and sidesteps the incumbent-improvement search entirely. *)
-          let probe_spent = ref 0. in
-          (* a failed probe's work is still work done by this solve *)
-          let probe_work = ref None in
-          let probe =
-            if Float.is_finite lower_bound then begin
-              let probe_model = Model.copy m' in
-              let scale = 1e-6 *. Float.max 1. (Float.abs lower_bound) in
-              Model.add_constraint ~name:"lb_probe" probe_model
-                (Model.objective probe_model)
-                Le (lower_bound +. scale);
-              Model.set_objective probe_model Lin_expr.zero;
-              let probe_limit = Option.map (fun t -> t /. 2.) time_limit in
-              probe_spent := now ();
-              phase "probe";
-              match
+    match (backend, session) with
+    | Brute_force, _ ->
+        let outcome =
+          match Brute.solve m with
+          | Brute.Optimal { objective; solution } ->
+              Optimal { objective; solution }
+          | Brute.Infeasible -> Infeasible
+        in
+        (outcome, empty_stats)
+    | Pseudo_boolean, Some ps ->
+        (* Incremental path: solve through the persistent session, which
+           captured [m] itself.  No optimistic probe here — the session's
+           warm-started phases make the main search's first descent
+           reconstruct the bound witness when one still exists, and the
+           lower-bound optimality shortcut then closes the solve just as
+           fast; a probe could only duplicate that or burn half the
+           budget refuting a stale cap. *)
+        phase "main";
+        let o, s =
+          Pb_solver.Session.solve ~metrics ?on_event ?log ?rows
+            ?max_decisions:max_nodes ?time_limit ~lower_bound ?should_stop
+            ps
+        in
+        (of_pb o, pb_stats s)
+    | Pseudo_boolean, None ->
+        (* Optimistic probe: when the combinatorial bound exists, first try
+           pure feasibility at cost ≤ bound — success is a proven optimum
+           and sidesteps the incumbent-improvement search entirely. *)
+        let probe_spent = ref 0. in
+        (* a failed probe's work is still work done by this solve *)
+        let probe_work = ref None in
+        let probe =
+          if Float.is_finite lower_bound then begin
+            let probe_model = Model.copy m in
+            let scale = 1e-6 *. Float.max 1. (Float.abs lower_bound) in
+            Model.add_constraint ~name:"lb_probe" probe_model
+              (Model.objective probe_model)
+              Le (lower_bound +. scale);
+            Model.set_objective probe_model Lin_expr.zero;
+            let probe_limit = Option.map (fun t -> t /. 2.) time_limit in
+            probe_spent := now ();
+            phase "probe";
+            match
+              Pb_solver.solve ~metrics ?on_event ?log ?rows
+                ?max_decisions:max_nodes ?time_limit:probe_limit ?should_stop
+                probe_model
+            with
+            | Pb_solver.Optimal { solution; _ }, s ->
+                let objective =
+                  Model.objective_value m (fun x -> solution.(x))
+                in
+                Some (Optimal { objective; solution }, s)
+            | (Pb_solver.Infeasible | Pb_solver.Limit_reached _), s ->
+                probe_work := Some s;
+                None
+          end
+          else None
+        in
+        let o, s =
+          match probe with
+          | Some (outcome, s) -> (outcome, s)
+          | None ->
+              (* main search keeps whatever budget the probe left *)
+              let remaining =
+                Option.map
+                  (fun t ->
+                    if !probe_spent > 0. then
+                      Float.max (t /. 4.) (t -. (now () -. !probe_spent))
+                    else t)
+                  time_limit
+              in
+              phase "main";
+              (* Pb_solver never mutates its model: the main search runs
+                 on the caller's *)
+              let o, s =
                 Pb_solver.solve ~metrics ?on_event ?log ?rows
-                  ?max_decisions:max_nodes ?time_limit:probe_limit
-                  ?should_stop probe_model
-              with
-              | Pb_solver.Optimal { solution; _ }, s ->
-                  let objective =
-                    Model.objective_value m' (fun x -> solution.(x))
-                  in
-                  Some (Optimal { objective; solution }, s)
-              | (Pb_solver.Infeasible | Pb_solver.Limit_reached _), s ->
-                  probe_work := Some s;
-                  None
-            end
-            else None
-          in
-          let o, s =
-            match probe with
-            | Some (outcome, s) -> (outcome, s)
-            | None ->
-                (* main search keeps whatever budget the probe left *)
-                let remaining =
-                  Option.map
-                    (fun t ->
-                      if !probe_spent > 0. then
-                        Float.max (t /. 4.)
-                          (t -. (now () -. !probe_spent))
-                      else t)
-                    time_limit
-                in
-                phase "main";
-                let o, s =
-                  Pb_solver.solve ~metrics ?on_event ?log ?rows
-                    ?max_decisions:max_nodes ?time_limit:remaining
-                    ~lower_bound ?should_stop m'
-                in
-                let s =
-                  match !probe_work with
-                  | None -> s
-                  | Some p ->
-                      { s with
-                        Pb_solver.decisions = s.decisions + p.decisions;
-                        propagations = s.propagations + p.propagations;
-                        conflicts = s.conflicts + p.conflicts;
-                        restarts = s.restarts + p.restarts;
-                        learned = s.learned + p.learned }
-                in
-                (of_pb o, s)
-          in
-          (o, pb_stats s)
-    end
+                  ?max_decisions:max_nodes ?time_limit:remaining ~lower_bound
+                  ?should_stop m
+              in
+              let s =
+                match !probe_work with
+                | None -> s
+                | Some p ->
+                    { s with
+                      Pb_solver.decisions = s.decisions + p.decisions;
+                      propagations = s.propagations + p.propagations;
+                      conflicts = s.conflicts + p.conflicts;
+                      restarts = s.restarts + p.restarts;
+                      learned = s.learned + p.learned }
+              in
+              (of_pb o, s)
+        in
+        (o, pb_stats s)
   in
   let stats =
     match outcome with
@@ -225,29 +210,9 @@ let min_opt a b =
   | (Some _ as s), None | None, (Some _ as s) -> s
   | None, None -> None
 
-let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?presolve ?rows
-    ?max_nodes ?time_limit ?budget ?session ?lower_bound m =
-  (* Presolve renumbers rows (it drops implied ones), which invalidates
-     both per-row attribution indices and every row id persisted inside an
-     incremental session.  Defaulted presolve is silently turned off in
-     those modes; EXPLICITLY requesting both is a contract violation and
-     gets the typed error rather than silently corrupted state. *)
-  (match (presolve, session) with
-  | Some true, Some _ ->
-      raise
-        (Archex_resilience.Error.E
-           (Archex_resilience.Error.Invalid_input
-              [ "presolve cannot be combined with an incremental solver \
-                 session: presolve renumbers model rows, invalidating the \
-                 learned rows and row ids persisted across session solves";
-                "pass ~presolve:false (or omit it) when supplying ~session"
-              ]))
-  | _ -> ());
+let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?rows ?max_nodes
+    ?time_limit ?budget ?session ?lower_bound m =
   require_pure_boolean m;
-  let presolve =
-    (match presolve with Some p -> p | None -> true)
-    && rows = None && session = None
-  in
   let backend = Option.value backend ~default:Pseudo_boolean in
   (* clamp the per-call limits under what the global budget has left *)
   let module B = Archex_resilience.Budget in
@@ -295,13 +260,11 @@ let solve ?(obs = Archex_obs.Ctx.null) ?on_event ?backend ?presolve ?rows
               nodes = 0;
               propagations = 0;
               conflicts = 0;
-              presolve_fixed = 0;
-              presolve_dropped = 0;
               elapsed = 0.;
               best_bound = None } )
         else
-          solve_untraced ~obs ~on_event ~backend ~presolve ?rows ?max_nodes
-            ?time_limit ?should_stop ?session ?lower_bound m)
+          solve_untraced ~obs ~on_event ~backend ?rows ?max_nodes ?time_limit
+            ?should_stop ?session ?lower_bound m)
   in
   (match budget with
   | Some b -> B.charge_nodes b stats.nodes
@@ -345,9 +308,6 @@ let pp_run_stats ppf s =
   if s.propagations > 0 || s.conflicts > 0 then
     Format.fprintf ppf ", %d propagations, %d conflicts" s.propagations
       s.conflicts;
-  if s.presolve_fixed > 0 || s.presolve_dropped > 0 then
-    Format.fprintf ppf ", presolve %d fixed / %d dropped" s.presolve_fixed
-      s.presolve_dropped;
   (match s.best_bound with
   | Some b -> Format.fprintf ppf ", bound %g" b
   | None -> ());
@@ -359,10 +319,6 @@ let run_stats_to_json s =
       ("nodes", Archex_obs.Json.Num (float_of_int s.nodes));
       ("propagations", Archex_obs.Json.Num (float_of_int s.propagations));
       ("conflicts", Archex_obs.Json.Num (float_of_int s.conflicts));
-      ("presolve_fixed",
-       Archex_obs.Json.Num (float_of_int s.presolve_fixed));
-      ("presolve_dropped",
-       Archex_obs.Json.Num (float_of_int s.presolve_dropped));
       ("elapsed", Archex_obs.Json.Num s.elapsed);
       ( "best_bound",
         match s.best_bound with

@@ -48,8 +48,6 @@ type run_stats = {
   nodes : int;          (** PB decisions *)
   propagations : int;
   conflicts : int;
-  presolve_fixed : int;
-  presolve_dropped : int;
   elapsed : float;      (** seconds *)
   best_bound : float option;
       (** best proven objective lower bound at exit; equals the objective
@@ -61,7 +59,6 @@ val solve :
   ?obs:Archex_obs.Ctx.t ->
   ?on_event:(Archex_obs.Event.t -> unit) ->
   ?backend:backend ->
-  ?presolve:bool ->
   ?rows:Row_stats.t ->
   ?max_nodes:int ->
   ?time_limit:float ->
@@ -72,26 +69,21 @@ val solve :
 (** Minimize the model.  [backend] defaults to [Pseudo_boolean].  Both
     backends take pure 0-1 models only: a model with an integer or
     continuous variable raises {!Archex_resilience.Error.E} with
-    [Invalid_input].  [presolve]
-    (default true) runs {!Presolve} first.  [time_limit] is wall-clock
-    seconds ({!Archex_obs.Clock}; the caller's model is never mutated).
+    [Invalid_input].  [time_limit] is wall-clock seconds
+    ({!Archex_obs.Clock}).  The caller's model is never mutated.
 
     [session] switches the PB backend to incremental mode: the solve
     resumes from the session's carried state and its per-call statistics
     are deltas, so summing them over successive calls matches the
-    session totals.  Because presolve
-    renumbers rows, it is incompatible with a session: explicitly passing
-    [~presolve:true] together with [~session] raises
-    {!Archex_resilience.Error.E} with [Invalid_input] (a defaulted or
-    [false] presolve is simply treated as off, as it already is under
-    [rows]).  [lower_bound], when given, must be a valid lower bound on
-    every feasible objective value of [m] — e.g. the [best_bound] proved
-    for a previous, weaker model in the MR loop (appending rows can only
-    raise the optimum).  It is maxed with the {!Obj_bound} bound and lets
-    the search close optimality proofs much earlier — a scratch PB
-    solve additionally probes at the bound before searching, while a
-    session solve instead installs the bound as a permanent objective
-    floor and lets its warm-started descent reach it directly.
+    session totals.  [lower_bound], when given, must be a valid lower
+    bound on every feasible objective value of [m] — e.g. the
+    [best_bound] proved for a previous, weaker model in the MR loop
+    (appending rows can only raise the optimum).  It is maxed with the
+    {!Obj_bound} bound and lets the search close optimality proofs much
+    earlier — a scratch PB solve additionally probes at the bound before
+    searching, while a session solve instead installs the bound as a
+    permanent objective floor and lets its warm-started descent reach it
+    directly.
 
     [budget] (default none) clamps [time_limit] and [max_nodes] under the
     global allowance: the call never runs past
@@ -103,25 +95,24 @@ val solve :
 
     [rows] (default none; zero cost without it) accumulates per-model-row
     activity ({!Row_stats}) keyed by row insertion index in [m]:
-    propagations, conflicts and binding.  Because attribution keys on row
-    indices, passing [rows] forces [presolve] off (presolve drops implied
-    rows and would shift the indices).  Totals are also emitted as
+    propagations, conflicts and binding.  Totals are also emitted as
     [solver.constraint.propagations/conflicts/binding] counters and,
     when a search log is installed, as one final
     [{"ev":"row_activity", "rows":[...]}] record.
 
     [obs] (default disabled) wraps the run in a ["solve"] trace span
     (attributes: backend, vars, constraints) and accumulates backend
-    metrics — [pb.*], [presolve.*] — plus a
-    [solve.calls] counter and a [solve.seconds] histogram.  [on_event]
+    metrics — [pb.*] — plus a [solve.calls] counter and a
+    [solve.seconds] histogram.  [on_event]
     forwards the backend's progress callback (heartbeats and incumbent
     updates); note the PB probe and main search both report through it.
 
     The front-end computes the {!Obj_bound} combinatorial lower bound,
-    injects it as an implied row, and — for the PB backend — first probes
-    pure feasibility at cost ≤ bound (half the time budget): a probe hit is
-    returned as a proven optimum (up to a 1e-6 relative tolerance on
-    non-integral objectives, the ε of the paper's Theorem 1). *)
+    passes it to the search as [lower_bound], and — for a scratch PB
+    solve — first probes pure feasibility at cost ≤ bound on a copy of
+    the model (half the time budget): a probe hit is returned as a proven
+    optimum (up to a 1e-6 relative tolerance on non-integral objectives,
+    the ε of the paper's Theorem 1). *)
 
 val solution_value : float array -> Model.var -> bool
 (** Convenience: read a 0-1 solution entry as a Boolean (≥ 0.5). *)

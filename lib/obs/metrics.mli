@@ -10,8 +10,7 @@
 
     Conventional names used across the synthesis stack:
     [pb.decisions], [pb.propagations], [pb.conflicts], [pb.learned],
-    [pb.restarts], [presolve.fixed],
-    [presolve.dropped], [mr.iterations], [mr.constraints_learned],
+    [pb.restarts], [mr.iterations], [mr.constraints_learned],
     [rel.bdd_nodes], [rel.analyses]. *)
 
 type t

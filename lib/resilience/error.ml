@@ -3,7 +3,6 @@ type t =
   | Node_budget of { stage : string; used : int; limit : int }
   | Memory_pressure of { stage : string; heap_words : int;
                          limit_words : int }
-  | Numeric_instability of { stage : string; detail : string }
   | Bdd_blowup of { stage : string; nodes : int; limit : int }
   | Cancelled of { stage : string }
   | Invalid_input of string list
@@ -15,7 +14,6 @@ let code = function
   | Timeout _ -> "timeout"
   | Node_budget _ -> "node-budget"
   | Memory_pressure _ -> "memory-pressure"
-  | Numeric_instability _ -> "numeric-instability"
   | Bdd_blowup _ -> "bdd-blowup"
   | Cancelled _ -> "cancelled"
   | Invalid_input _ -> "invalid-input"
@@ -32,8 +30,6 @@ let to_string = function
       Printf.sprintf
         "%s: memory pressure (heap %d words, watermark %d words)" stage
         heap_words limit_words
-  | Numeric_instability { stage; detail } ->
-      Printf.sprintf "%s: numeric instability (%s)" stage detail
   | Bdd_blowup { stage; nodes; limit } ->
       Printf.sprintf "%s: BDD blowup (%d nodes, ceiling %d)" stage nodes
         limit
@@ -63,8 +59,6 @@ let to_json e =
         [ ("stage", J.Str stage);
           ("heap_words", J.Num (float_of_int heap_words));
           ("limit_words", J.Num (float_of_int limit_words)) ]
-    | Numeric_instability { stage; detail } ->
-        [ ("stage", J.Str stage); ("detail", J.Str detail) ]
     | Bdd_blowup { stage; nodes; limit } ->
         [ ("stage", J.Str stage);
           ("nodes", J.Num (float_of_int nodes));
@@ -81,7 +75,7 @@ let is_budget = function
   | Timeout _ | Node_budget _ | Memory_pressure _ | Bdd_blowup _
   | Cancelled _ ->
       true
-  | Numeric_instability _ | Invalid_input _ | Internal _ -> false
+  | Invalid_input _ | Internal _ -> false
 
 let guard ~stage f =
   match f () with

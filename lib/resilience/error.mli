@@ -6,20 +6,17 @@
     message, serialize into a run report, and decide on a degradation
     step.  The taxonomy is deliberately small: a failure either names the
     budget that ran out ({!Timeout}, {!Node_budget}, {!Memory_pressure},
-    {!Bdd_blowup}), a numeric breakdown ({!Numeric_instability}), bad
-    input rejected up front ({!Invalid_input}), or a defect
-    ({!Internal}). *)
+    {!Bdd_blowup}), a cooperative stop ({!Cancelled}), bad input rejected
+    up front ({!Invalid_input}), or a defect ({!Internal}). *)
 
 type t =
   | Timeout of { stage : string; elapsed : float; limit : float }
       (** wall-clock deadline exceeded inside [stage] *)
   | Node_budget of { stage : string; used : int; limit : int }
-      (** search-node / pivot budget exhausted *)
+      (** PB decision budget exhausted *)
   | Memory_pressure of { stage : string; heap_words : int;
                          limit_words : int }
       (** GC heap watermark exceeded *)
-  | Numeric_instability of { stage : string; detail : string }
-      (** LP stall, NaN objective, cycling pivot, … *)
   | Bdd_blowup of { stage : string; nodes : int; limit : int }
       (** the exact reliability oracle outgrew its node ceiling *)
   | Cancelled of { stage : string }
@@ -36,7 +33,7 @@ exception E of t
 
 val code : t -> string
 (** Stable machine-readable tag: ["timeout"], ["node-budget"],
-    ["memory-pressure"], ["numeric-instability"], ["bdd-blowup"],
+    ["memory-pressure"], ["bdd-blowup"],
     ["cancelled"], ["invalid-input"], ["internal"]. *)
 
 val to_string : t -> string

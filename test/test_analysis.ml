@@ -17,13 +17,13 @@ let check_str = Alcotest.(check string)
 let node ?dur ?(children = []) name =
   { Trace.name; dur; attrs = []; children }
 
-(* main(10s) ─ solve(6s) ─ presolve(1s)
+(* main(10s) ─ solve(6s) ─ probe(1s)
             └ solve(2s)
    so solve self = (6-1) + 2 = 7, main self = 10 - 6 - 2 = 2. *)
 let sample_forest () =
   [ node "main" ~dur:10.
       ~children:
-        [ node "solve" ~dur:6. ~children:[ node "presolve" ~dur:1. ];
+        [ node "solve" ~dur:6. ~children:[ node "probe" ~dur:1. ];
           node "solve" ~dur:2. ] ]
 
 (* ------------------------------------------------------------------ *)
@@ -47,7 +47,7 @@ let test_profile_aggregation () =
   checkf "solve mean" 4. (Profile.mean solve);
   checkf "solve share of root" 0.7 (Profile.share p solve);
   checkf "main self" 2. (row p "main").Profile.self_;
-  checkf "presolve self" 1. (row p "presolve").Profile.self_;
+  checkf "probe self" 1. (row p "probe").Profile.self_;
   (* rows come sorted by self time, descending *)
   (match p.Profile.rows with
   | a :: b :: _ ->
@@ -68,9 +68,9 @@ let test_folded_stacks_golden () =
   let stacks = Profile.folded_stacks (sample_forest ()) in
   checkb "stack lines and weights" true
     (stacks
-    = [ ("main", 2.); ("main;solve", 7.); ("main;solve;presolve", 1.) ]);
+    = [ ("main", 2.); ("main;solve", 7.); ("main;solve;probe", 1.) ]);
   let golden =
-    "main 2000000\nmain;solve 7000000\nmain;solve;presolve 1000000\n"
+    "main 2000000\nmain;solve 7000000\nmain;solve;probe 1000000\n"
   in
   check_str "pp_folded golden (µs weights)" golden
     (Format.asprintf "%a" Profile.pp_folded (sample_forest ()));

@@ -3,9 +3,8 @@
    bit-identical to a scratch run (architecture, cost, iteration count),
    certificate chains from incremental runs, and checkpoint/resume in
    incremental mode; plus regression tests for the reduce_db
-   reason-pinning fix, per-invocation delta stats, the
-   activity-preserving heap rebuild, and the presolve x session typed
-   rejection. *)
+   reason-pinning fix, per-invocation delta stats and the
+   activity-preserving heap rebuild. *)
 
 module Model = Milp.Model
 module Lin_expr = Milp.Lin_expr
@@ -13,7 +12,6 @@ module Solver = Milp.Solver
 module Pb = Milp.Pb_solver
 module Var_heap = Milp.Var_heap
 module Digraph = Netgraph.Digraph
-module Error = Archex_resilience.Error
 module J = Archex_obs.Json
 module Cert = Archex_cert
 
@@ -334,34 +332,6 @@ let test_var_heap_rebuild () =
     (drain [] = [ 1; 4; 2; 5; 0; 3 ])
 
 (* ------------------------------------------------------------------ *)
-(* presolve x session: typed rejection                                 *)
-
-let test_presolve_with_session_rejected () =
-  let m, _ = session_model_base () in
-  let sess = Solver.make_session m in
-  (match Solver.solve ~presolve:true ~session:sess m with
-  | exception Error.E (Error.Invalid_input msgs) ->
-      checkb "message names presolve" true
-        (List.exists
-           (fun s ->
-             let has needle =
-               let n = String.length needle and l = String.length s in
-               let rec go i =
-                 i + n <= l && (String.sub s i n = needle || go (i + 1))
-               in
-               go 0
-             in
-             has "presolve")
-           msgs)
-  | exception e -> Alcotest.failf "wrong exception: %s" (Printexc.to_string e)
-  | _ -> Alcotest.fail "presolve + session accepted");
-  (* defaulted presolve is silently disabled: the same call without the
-     explicit flag must succeed *)
-  match Solver.solve ~session:sess m with
-  | Solver.Optimal { objective; _ }, _ -> checkf 1e-9 "optimum" 6. objective
-  | _ -> Alcotest.fail "expected optimal"
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
@@ -376,9 +346,7 @@ let () =
           quick "checkpoint/resume incremental"
             test_checkpoint_resume_incremental ] );
       ( "session",
-        [ quick "delta stats sum to totals" test_session_delta_stats_sum;
-          quick "presolve with session rejected"
-            test_presolve_with_session_rejected ] );
+        [ quick "delta stats sum to totals" test_session_delta_stats_sum ] );
       ( "var_heap",
         [ quick "of_activities warm restore" test_var_heap_of_activities;
           quick "rebuild after rescale" test_var_heap_rebuild ] ) ]

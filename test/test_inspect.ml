@@ -254,8 +254,8 @@ let test_mr_inspect_off_by_default () =
         (List.for_all (fun it -> it.Archex.Ilp_mr.insight = None) trace)
   | Archex.Synthesis.Unfeasible _ -> Alcotest.fail "0.08 is reachable"
 
-(* Inspection must not change what is synthesized (it only disables
-   presolve and counts): same architecture, same cost. *)
+(* Inspection must not change what is synthesized (it only counts):
+   same architecture, same cost. *)
 let test_mr_inspect_preserves_result () =
   let run inspect =
     match

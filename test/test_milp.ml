@@ -291,8 +291,7 @@ let prop_backends_agree backend =
     ~name:(Printf.sprintf "%s = brute force" (Solver.backend_name backend))
     ~count:150 arb_bool_model (fun spec ->
       let reference, _ =
-        Solver.solve ~backend:Solver.Brute_force ~presolve:false
-          (build_model spec)
+        Solver.solve ~backend:Solver.Brute_force (build_model spec)
       in
       let tested, _ = Solver.solve ~backend (build_model spec) in
       outcomes_agree reference tested)
@@ -489,20 +488,6 @@ let prop_pb_session_resolve_matches_scratch =
       pb_agrees again scratch
       && pb_agrees (of_brute (Milp.Brute.solve m)) again)
 
-let test_presolve_preserves_optimum () =
-  QCheck.Test.check_exn
-    (QCheck.Test.make ~count:100 ~name:"presolve keeps the optimum"
-       arb_bool_model (fun spec ->
-         let with_pre, _ =
-           Solver.solve ~backend:Solver.Pseudo_boolean ~presolve:true
-             (build_model spec)
-         in
-         let without, _ =
-           Solver.solve ~backend:Solver.Pseudo_boolean ~presolve:false
-             (build_model spec)
-         in
-         outcomes_agree with_pre without))
-
 let test_pb_respects_fixed_vars () =
   let m = Model.create () in
   let x = Model.bool_var m and y = Model.bool_var m in
@@ -621,9 +606,9 @@ let prop_obj_bound_is_valid =
       | Milp.Brute.Optimal { objective; _ } -> bound <= objective +. 1e-6
       | Milp.Brute.Infeasible -> true)
 
-let test_obj_bound_packs_disjoint_rows () =
-  (* two disjoint at-least-2 rows over costed variables: bound = the two
-     cheapest of each group *)
+(* two disjoint at-least-2 rows over costed variables: the packed bound
+   is the two cheapest of each group, 3+5 and 7+10 *)
+let disjoint_rows_model () =
   let m = Model.create () in
   let a = Model.bool_vars m 3 and b = Model.bool_vars m 3 in
   Bool_encode.at_least_k m (Array.to_list a) 2;
@@ -632,17 +617,41 @@ let test_obj_bound_packs_disjoint_rows () =
     (Lin_expr.of_terms
        [ (a.(0), 5.); (a.(1), 3.); (a.(2), 8.);
          (b.(0), 10.); (b.(1), 20.); (b.(2), 7.) ]);
-  (* 3+5 from the first group, 7+10 from the second *)
+  (m, a)
+
+let test_obj_bound_packs_disjoint_rows () =
+  let m, _ = disjoint_rows_model () in
   checkf "packed bound" 25. (Milp.Obj_bound.lower_bound m);
-  match Milp.Obj_bound.strengthen m with
-  | Some bound ->
-      checkf "strengthen returns the bound" 25. bound;
-      (* the added row must not cut the optimum *)
-      (match Milp.Brute.solve m with
-      | Milp.Brute.Optimal { objective; _ } ->
-          checkf "optimum preserved" 25. objective
-      | Milp.Brute.Infeasible -> Alcotest.fail "feasible model")
-  | None -> Alcotest.fail "bound should strengthen"
+  let rows = Model.constraint_count m in
+  checkb "nontrivial returns the bound" true
+    (Milp.Obj_bound.nontrivial m = Some 25.);
+  check_int "no row added" rows (Model.constraint_count m)
+
+(* Solver.solve never mutates the caller's model: not on a scratch solve
+   with a finite Obj_bound (whose main search runs on the caller's model
+   when the probe at the bound fails), and not on a session solve. *)
+let test_solve_leaves_model_unchanged () =
+  let shape m =
+    ( Model.var_count m,
+      Model.constraint_count m,
+      Lin_expr.terms (Model.objective m) )
+  in
+  let unchanged what m optimum f =
+    let before = shape m in
+    (match f () with
+    | Solver.Optimal { objective; _ }, _ -> checkf what optimum objective
+    | _ -> Alcotest.failf "%s: expected an optimum" what);
+    checkb (what ^ " leaves the model unchanged") true (before = shape m)
+  in
+  let m, a = disjoint_rows_model () in
+  checkb "finite Obj_bound" true (Milp.Obj_bound.nontrivial m <> None);
+  unchanged "scratch solve, probe hit" m 25. (fun () -> Solver.solve m);
+  (* forbid the cheapest pair of the first group: the bound 25 is no
+     longer reached (optimum 3+8+7+10 = 28), so the probe fails *)
+  Model.add_constraint m Lin_expr.(add (var a.(0)) (var a.(1))) Model.Le 1.;
+  unchanged "scratch solve, probe miss" m 28. (fun () -> Solver.solve m);
+  let sess = Solver.make_session m in
+  unchanged "session solve" m 28. (fun () -> Solver.solve ~session:sess m)
 
 let test_obj_bound_overlapping_not_double_counted () =
   let m = Model.create () in
@@ -864,7 +873,6 @@ let () =
           prop prop_optimal_solution_is_feasible;
           prop prop_pb_wide_matches_brute;
           prop prop_pb_session_resolve_matches_scratch;
-          quick "presolve preserves optimum" test_presolve_preserves_optimum;
           quick "fixed variables respected" test_pb_respects_fixed_vars;
           quick "empty model" test_empty_model;
           quick "all variables fixed" test_all_vars_fixed;
@@ -872,7 +880,9 @@ let () =
             test_negative_objective_coefficients;
           quick "equality rows propagate" test_equality_row_propagation;
           quick "node limit returns" test_time_limit_returns;
-          quick "mixed model rejected" test_mixed_model_rejected ] );
+          quick "mixed model rejected" test_mixed_model_rejected;
+          quick "solve leaves the model unchanged"
+            test_solve_leaves_model_unchanged ] );
       ( "obj_bound",
         [ prop prop_obj_bound_is_valid;
           quick "packs disjoint rows" test_obj_bound_packs_disjoint_rows;

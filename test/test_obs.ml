@@ -476,8 +476,11 @@ let test_solver_trace_shape () =
   (match Trace.tree_of_events (events ()) with
   | [ root ] ->
       check_str "root span" "solve" root.Trace.name;
-      checkb "presolve child" true
-        (List.exists (fun c -> c.Trace.name = "presolve") root.Trace.children)
+      let attr name = List.assoc_opt name root.Trace.attrs in
+      checkb "backend attribute" true (attr "backend" = Some (Json.Str "pb"));
+      checkb "vars attribute" true (attr "vars" = Some (Json.Num 8.));
+      checkb "constraints attribute" true
+        (attr "constraints" = Some (Json.Num 7.))
   | forest -> Alcotest.failf "expected 1 root, got %d" (List.length forest));
   checkb "solve.calls counted" true
     (Metrics.value metrics "solve.calls" = Some 1.);

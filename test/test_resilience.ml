@@ -310,7 +310,7 @@ let test_solver_limit_keeps_bound_pb () =
   let enc = Archex.Gen_ilp.encode t in
   match
     Milp.Solver.solve ~backend:Milp.Solver.Pseudo_boolean ~max_nodes:1
-      ~presolve:false (Archex.Gen_ilp.model enc)
+      (Archex.Gen_ilp.model enc)
   with
   | Milp.Solver.Limit_reached _, stats -> (
       match stats.Milp.Solver.best_bound with
